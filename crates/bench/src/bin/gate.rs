@@ -12,7 +12,7 @@
 //! - any required stage timer (`synth`, `fft_features`, `label`, `kmeans`,
 //!   `svm_fit`, `cv`) is missing from the report's `stages` table or
 //!   recorded zero calls — catching a stage that silently lost its
-//!   instrumentation (or a report produced without the `prof` feature);
+//!   instrumentation (or a report produced without the `obs` feature);
 //! - the error-cached SMO regresses more than 2× against the checked-in
 //!   floor (`svm_fit_ns_per_fit` in the floor file, measured on the
 //!   reference machine that produced `BENCH_pipeline.json`);
@@ -162,9 +162,9 @@ fn load(path: &str) -> Result<Value, String> {
 }
 
 fn check(report: &Value, floor: &Value) -> Result<(), String> {
-    if report.get("prof_enabled").and_then(Value::as_bool) != Some(true) {
-        return Err("report was produced without the prof feature (prof_enabled != true); \
-             rebuild probe with --features prof"
+    if report.get("obs_enabled").and_then(Value::as_bool) != Some(true) {
+        return Err("report was produced without the obs feature (obs_enabled != true); \
+             rebuild probe with --features obs"
             .into());
     }
 

@@ -6,13 +6,14 @@
 //! fused-batch vs per-frame synthesis and feature extraction, and the
 //! online detector ingest rate — and writing the numbers to
 //! `BENCH_pipeline.json` (override with `--out <path>`). When built with
-//! the `prof` feature the report also carries the per-stage wall-clock
-//! breakdown (synth / fft_features / label / kmeans / svm_fit / cv / …)
-//! recorded by `waldo-prof` across the serial build plus one model fit
-//! and one cross-validation (the serial leg so stage seconds are not
-//! inflated by oversubscribed workers on small hosts). Pass `--quick` to time at [`Scale::Quick`],
-//! and `--bench-only` to stop after the JSON is written (skipping the slow
-//! tuning sections below).
+//! the `obs` feature the report also carries the per-stage wall-clock
+//! breakdown (synth / fft_features / label / kmeans / svm_fit / cv / …):
+//! each stage's call count and total seconds from its `waldo-obs`
+//! histogram over the serial build plus one model fit and one
+//! cross-validation (the serial leg so stage seconds are not inflated by
+//! oversubscribed workers on small hosts). Pass `--quick` to time at
+//! [`Scale::Quick`], and `--bench-only` to stop after the JSON is written
+//! (skipping the slow tuning sections below).
 
 use std::time::Instant;
 
@@ -306,7 +307,7 @@ fn bench_pipeline(scale: Scale, out: &str) -> Context {
     // Profiling the serial leg keeps the per-stage seconds comparable
     // across machines: scoped timers measure per-thread wall clock, which
     // oversubscribed workers on a small host would inflate.
-    waldo_prof::reset();
+    waldo_obs::reset_histograms();
     let t = Instant::now();
     let serial = waldo_par::with_workers(1, || Context::build(scale));
     let serial_s = t.elapsed().as_secs_f64();
@@ -333,28 +334,21 @@ fn bench_pipeline(scale: Scale, out: &str) -> Context {
         cm.error_rate()
     );
 
+    let snap = waldo_obs::histogram_snapshot();
     let mut stages = Map::new();
-    for (name, stat) in waldo_prof::snapshot() {
-        stages.insert(
-            name,
-            json!({
-                "seconds": stat.seconds(),
-                "calls": stat.calls,
-            }),
-        );
-    }
-    if waldo_prof::enabled() {
-        let snap = waldo_prof::snapshot();
+    if !snap.is_empty() {
         eprintln!("stage attribution (serial build + fit + cv):");
-        for (name, stat) in &snap {
-            eprintln!("  {name:>14}: {:>9.3}s over {} calls", stat.seconds(), stat.calls);
-        }
+    }
+    for (name, hist) in snap {
+        let seconds = hist.sum() as f64 / 1e9;
+        eprintln!("  {name:>14}: {seconds:>9.3}s over {} calls", hist.count());
+        stages.insert(name, json!({ "seconds": seconds, "calls": hist.count() }));
     }
 
     let report = json!({
         "scale": format!("{scale:?}"),
         "workers": ambient_workers,
-        "prof_enabled": waldo_prof::enabled(),
+        "obs_enabled": waldo_obs::enabled(),
         "context_build": json!({
             "readings": readings,
             "serial_workers": 1,

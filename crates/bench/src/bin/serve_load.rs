@@ -401,7 +401,6 @@ fn main() {
     let addr = server.addr();
     eprintln!("serving on {addr}; {clients} clients x {} fetches", fetches + 1);
 
-    waldo_prof::reset();
     waldo_obs::reset_histograms();
     let errors = AtomicUsize::new(0);
     let timeouts = AtomicUsize::new(0);
@@ -582,16 +581,6 @@ fn main() {
     let validation_fetches_per_s = all.len() as f64 / wall_s;
     let delta_saved = if full_bytes > 0.0 { 1.0 - delta_bytes / full_bytes } else { 0.0 };
 
-    let mut prof = serde_json::Map::new();
-    for (name, stat) in waldo_prof::snapshot() {
-        if name.starts_with("serve") {
-            prof.insert(
-                name,
-                json!({ "seconds": stat.seconds(), "calls": stat.calls, "count": stat.count }),
-            );
-        }
-    }
-
     let mut client_obs = ClientObsSnapshot::default();
     for s in &all_stats {
         client_obs.attempts_total += s.obs.attempts_total;
@@ -656,8 +645,6 @@ fn main() {
         "protocol_errors": protocol_errors,
         "timeout_errors": timeout_errors,
         "wall_seconds": wall_s,
-        "prof_enabled": waldo_prof::enabled(),
-        "prof": serde_json::Value::Object(prof),
         "obs_enabled": waldo_obs::enabled(),
         "obs": obs,
     });
@@ -704,7 +691,6 @@ fn main() {
         "duplicates_materialized": duplicates_materialized,
         "wal_batches": ingest_snap.wal_batches,
         "checkpoint_seq": ingest_snap.checkpoint_seq,
-        "prof_enabled": waldo_prof::enabled(),
     });
     write_json(&ingest_out, &ingest_report);
 

@@ -224,7 +224,7 @@ impl ModelConstructor {
     ///
     /// Same as [`fit`](Self::fit).
     pub fn fit_dataset(&self, ml: &Dataset) -> Result<WaldoModel, TrainError> {
-        let _t = waldo_prof::scope("model_fit");
+        let _t = waldo_obs::timed("model_fit");
         if ml.is_empty() {
             return Err(TrainError::Empty);
         }
@@ -281,7 +281,7 @@ impl ModelConstructor {
         ml: &Dataset,
         changed: &[usize],
     ) -> Result<WaldoModel, TrainError> {
-        let _t = waldo_prof::scope("model_refit");
+        let _t = waldo_obs::timed("model_refit");
         if ml.is_empty() {
             return Err(TrainError::Empty);
         }

@@ -27,7 +27,7 @@ pub fn cross_validate(
     folds: usize,
     seed: u64,
 ) -> ConfusionMatrix {
-    let _t = waldo_prof::scope("cv");
+    let _t = waldo_obs::timed("cv");
     let constructor = ModelConstructor::new(config.clone());
     let splits = KFold::new(folds, seed).splits(ds.len());
     let fold_cms = waldo_par::par_map(&splits, |split| {

@@ -658,8 +658,9 @@ impl ReadingBatch {
 /// First bytes of every encoded replication channel state.
 pub const REPL_MAGIC: [u8; 4] = *b"WRPL";
 
-/// Current replication wire version. Decoders reject anything newer and
-/// accept anything older: v1 predates `trace_id`, which decodes as 0.
+/// Current replication wire version. Decoders accept exactly this
+/// version: every replica builds from this repository, so a layout change
+/// bumps it on both ends at once.
 pub const REPL_VERSION: u8 = 2;
 
 /// One locality slot as replicated between servers: the change-epoch and
@@ -692,7 +693,7 @@ const REPL_SLOT_UNCHANGED: u8 = 1;
 ///
 /// ```text
 /// state := magic "WRPL" | version u8 | channel u8 | epoch u64
-///        | trace_id u64 (v2+)
+///        | trace_id u64
 ///        | prelude len u32 | prelude | slot count u32 | slot…
 /// slot  := epoch u64 | digest u64 | cx f64 | cy f64
 ///        | 0 u8 | payload len u32 | payload      (sent)
@@ -706,9 +707,9 @@ pub struct ReplChannelState {
     pub epoch: u64,
     /// Trace ID of the request chain whose publish produced `epoch` (the
     /// uploader's request ID carried through the refit, or a minted one
-    /// for internally-originated publishes). 0 = unknown — a v1 peer or a
-    /// publish that predates trace propagation. Followers mirror it
-    /// verbatim, so spans on every replica join the originating trace.
+    /// for internally-originated publishes). 0 = unknown — a publish that
+    /// predates trace propagation. Followers mirror it verbatim, so spans
+    /// on every replica join the originating trace.
     pub trace_id: u64,
     /// Encoded prelude (features + centroids), always included.
     pub prelude: Vec<u8>,
@@ -761,12 +762,12 @@ impl ReplChannelState {
             return Err(WireError::BadMagic);
         }
         let version = r.u8()?;
-        if version > REPL_VERSION {
+        if version != REPL_VERSION {
             return Err(WireError::UnsupportedVersion(version));
         }
         let channel = r.u8()?;
         let epoch = r.u64()?;
-        let trace_id = if version >= 2 { r.u64()? } else { 0 };
+        let trace_id = r.u64()?;
         let prelude_len = r.u32()? as usize;
         let prelude = r.bytes(prelude_len)?.to_vec();
         let n = r.u32()? as usize;
@@ -1111,18 +1112,16 @@ mod tests {
     }
 
     #[test]
-    fn repl_state_v1_decodes_with_zero_trace_id() {
-        // A v1 peer's encoding: same layout minus the trace_id u64 that
-        // v2 inserted after the channel epoch.
-        let state = sample_repl_state(0);
-        let v2 = state.encode();
+    fn repl_state_v1_is_refused() {
+        // A v1 encoding: the current layout minus the trace_id u64 after
+        // the channel epoch. No replica speaks it, so it is refused rather
+        // than read with a zero trace id.
+        let v2 = sample_repl_state(0).encode();
         let mut v1 = Vec::with_capacity(v2.len() - 8);
         v1.extend_from_slice(&v2[..4 + 1 + 1 + 8]); // magic | version | channel | epoch
         v1.extend_from_slice(&v2[4 + 1 + 1 + 8 + 8..]); // skip trace_id
         v1[4] = 1;
-        let back = ReplChannelState::decode(&v1).unwrap();
-        assert_eq!(back.trace_id, 0, "v1 has no trace id");
-        assert_eq!(back, ReplChannelState { trace_id: 0, ..state });
+        assert_eq!(ReplChannelState::decode(&v1), Err(WireError::UnsupportedVersion(1)));
     }
 
     #[test]

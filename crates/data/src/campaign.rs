@@ -127,7 +127,7 @@ impl<'a> CampaignBuilder<'a> {
     /// collection is bit-identical to a serial one (and to any worker
     /// count); see `waldo_par::with_workers` to pin the pool size.
     pub fn collect(&self) -> Campaign {
-        let _t = waldo_prof::scope("collect");
+        let _t = waldo_obs::timed("collect");
         let path = waldo_geo::DrivePathBuilder::new(self.world.region())
             .seed(self.seed ^ xd21ve_u64())
             .build();

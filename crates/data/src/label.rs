@@ -80,7 +80,7 @@ impl Labeler {
 
     /// Labels `(location, rss_dbm)` readings per Algorithm 1.
     pub fn label(&self, readings: &[(Point, f64)]) -> Vec<Safety> {
-        let _t = waldo_prof::scope("label");
+        let _t = waldo_obs::timed("label");
         let mut not_safe = vec![false; readings.len()];
         // Index every reading once; then each hot reading marks its
         // neighbourhood. Bucket size = radius keeps the scan at ≤ 9 cells;

@@ -312,7 +312,7 @@ impl FeatureVector {
     ///
     /// Panics if the frame length is not a power of two.
     pub fn extract_from_batch(batch: &FrameBatch, window: Window) -> Extraction {
-        let _t = waldo_prof::scope("fft_features");
+        let _t = waldo_obs::timed("fft_features");
         let n = batch.frame_len();
         with_spectral(window, n, |ctx| {
             let norm = ctx.coherent_sum * ctx.coherent_sum;

@@ -180,7 +180,7 @@ impl FrameSynthesizer {
     ///
     /// Panics if `frames == 0`.
     pub fn synthesize_batch<R: Rng + ?Sized>(&self, frames: usize, rng: &mut R) -> FrameBatch {
-        let _t = waldo_prof::scope("synth");
+        let _t = waldo_obs::timed("synth");
         let n = self.len;
         let mut batch = FrameBatch::zeroed(frames, n);
 

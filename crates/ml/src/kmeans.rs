@@ -88,7 +88,7 @@ impl KMeans {
         if points.len() < self.k {
             return Err(KMeansError::TooFewPoints);
         }
-        let _t = waldo_prof::scope("kmeans");
+        let _t = waldo_obs::timed("kmeans");
         let mut rng = StdRng::seed_from_u64(self.seed ^ KMEANS_SALT);
         let mut centroids = plus_plus_init(points, self.k, &mut rng);
         let mut assignment = vec![0usize; points.len()];

@@ -203,7 +203,7 @@ impl SvmTrainer {
         ds: &Dataset,
         mut audit: impl FnMut(&[f64], f64, &[f64], &[f64], &[f64]),
     ) -> Result<SvmModel, SvmError> {
-        let _t = waldo_prof::scope("svm_fit");
+        let _t = waldo_obs::timed("svm_fit");
         if ds.is_empty() {
             return Err(SvmError::Empty);
         }

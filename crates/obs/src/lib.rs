@@ -1,7 +1,8 @@
 //! Observability layer: log-bucketed latency histograms, structured JSONL
 //! spans with request-ID propagation, and a runtime on/off switch.
 //!
-//! Everything here is feature-gated like `waldo-prof` and `waldo-fault`:
+//! This is the workspace's one timing and recording core, and `obs` is
+//! its one instrumentation feature. Like `waldo-fault`, it is gated:
 //! without the `obs` cargo feature the recording entry points compile to
 //! no-ops, [`Timed`] and [`Span`] are zero-sized, and instrumented hot
 //! paths pay nothing. With `obs` on, recording can additionally be toggled
@@ -11,11 +12,11 @@
 //! Three facilities:
 //!
 //! - **Histograms** ([`hist::Histogram`]): named log-bucketed latency
-//!   distributions fed by [`timed`] guards; [`histogram_snapshot`] reads
-//!   them all for the serve `Stats` endpoint and bench reports. With the
-//!   `prof` feature, every [`timed`] guard *also* feeds the `waldo-prof`
-//!   aggregate table, so prof's sum-only stage accounting keeps working
-//!   at the call sites that upgraded to histograms.
+//!   distributions fed by [`timed`] guards — the serve hot paths as well
+//!   as the pipeline stages (`synth`, `fft_features`, `label`, `kmeans`,
+//!   `svm_fit`, `cv`, …). [`histogram_snapshot`] reads them all for the
+//!   serve `Stats` endpoint and bench reports; a stage's call count and
+//!   total time are its histogram's `count()` and `sum()`.
 //! - **Traces** ([`trace`]): JSONL spans/events to a pluggable sink, with
 //!   parent IDs and a request ID carried from `ModelClient` through the
 //!   wire header into the server's handler span.
@@ -106,6 +107,18 @@ mod reg {
     pub fn reset_histograms() {
         table().clear();
     }
+
+    /// Poisons the table from a sacrificial thread so tests can show
+    /// recording and snapshots survive a thread that crashed under it.
+    #[cfg(test)]
+    pub(crate) fn poison_table_for_tests() {
+        let crashed = std::thread::spawn(|| {
+            let _held = table();
+            panic!("poisoning the histogram table");
+        })
+        .join();
+        assert!(crashed.is_err() && HISTS.is_poisoned());
+    }
 }
 
 #[cfg(not(feature = "obs"))]
@@ -134,12 +147,11 @@ mod reg {
 
 pub use reg::{enabled, histogram_snapshot, record_duration_ns, reset_histograms, set_enabled};
 
-#[cfg(any(feature = "obs", feature = "prof"))]
+#[cfg(feature = "obs")]
 mod timed_imp {
     use std::time::Instant;
 
-    /// RAII wall-clock timer; on drop feeds the obs histogram (under
-    /// `obs`) and the waldo-prof aggregate table (under `prof`).
+    /// RAII wall-clock timer; on drop records into the named histogram.
     #[must_use = "a timer records its duration when dropped"]
     pub struct Timed {
         name: &'static str,
@@ -153,26 +165,18 @@ mod timed_imp {
 
     impl Drop for Timed {
         fn drop(&mut self) {
-            let ns = self.start.elapsed().as_nanos() as u64;
-            #[cfg(feature = "prof")]
-            waldo_prof::record_ns(self.name, ns);
-            #[cfg(feature = "obs")]
-            crate::record_duration_ns(self.name, ns);
-            #[cfg(not(feature = "prof"))]
-            let _ = self.name;
-            #[cfg(not(any(feature = "prof", feature = "obs")))]
-            let _ = ns;
+            crate::record_duration_ns(self.name, self.start.elapsed().as_nanos() as u64);
         }
     }
 }
 
-#[cfg(not(any(feature = "obs", feature = "prof")))]
+#[cfg(not(feature = "obs"))]
 mod timed_imp {
     /// Zero-sized stand-in for the RAII timer; dropping it does nothing.
     #[must_use = "a timer records its duration when dropped"]
     pub struct Timed(());
 
-    /// No-op (obs and prof both compiled out).
+    /// No-op (obs compiled out).
     pub fn timed(_name: &'static str) -> Timed {
         Timed(())
     }
@@ -201,7 +205,6 @@ mod disabled_tests {
     fn compiles_out_to_nothing() {
         assert!(!compiled());
         assert!(!enabled());
-        #[cfg(not(feature = "prof"))]
         assert_eq!(std::mem::size_of::<Timed>(), 0);
         assert_eq!(std::mem::size_of::<Span>(), 0);
         {
@@ -214,17 +217,17 @@ mod disabled_tests {
     }
 }
 
+/// The histogram table, the trace sink and the runtime switch are
+/// process-wide; tests touching any of them serialize on one lock.
+#[cfg(all(test, feature = "obs"))]
+fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(all(test, feature = "obs"))]
 mod enabled_tests {
     use super::*;
-    use std::sync::{Mutex, MutexGuard, PoisonError};
-
-    /// The histogram table is process-wide; serialize tests touching it.
-    static LOCK: Mutex<()> = Mutex::new(());
-
-    fn exclusive() -> MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(PoisonError::into_inner)
-    }
 
     #[test]
     fn timed_feeds_the_named_histogram() {
@@ -263,10 +266,43 @@ mod enabled_tests {
             let _t = timed("doomed_path");
             panic!("boom while timed");
         });
-        // The guard recorded during unwind; the table must still be usable.
+        // The guard recorded during unwind; the table must still be usable,
+        // even once a thread has poisoned its mutex outright.
+        reg::poison_table_for_tests();
         record_duration_ns("after_panic", 7);
         let snap = histogram_snapshot();
         assert!(snap.iter().any(|(n, _)| *n == "doomed_path"));
         assert!(snap.iter().any(|(n, _)| *n == "after_panic"));
+        reset_histograms();
+        assert!(histogram_snapshot().is_empty());
+    }
+
+    #[test]
+    fn worker_threads_share_one_histogram() {
+        let _guard = exclusive();
+        reset_histograms();
+        set_enabled(true);
+        std::thread::scope(|s| {
+            for _ in 0..4 {
+                s.spawn(|| {
+                    let _t = timed("worker_path");
+                });
+            }
+        });
+        let snap = histogram_snapshot();
+        let (_, hist) = snap.iter().find(|(n, _)| *n == "worker_path").expect("workers recorded");
+        assert_eq!(hist.count(), 4);
+    }
+
+    #[test]
+    fn reset_clears_the_table() {
+        let _guard = exclusive();
+        set_enabled(true);
+        {
+            let _t = timed("ephemeral_path");
+        }
+        assert!(!histogram_snapshot().is_empty());
+        reset_histograms();
+        assert!(histogram_snapshot().is_empty());
     }
 }

@@ -301,13 +301,7 @@ pub use imp::*;
 #[cfg(all(test, feature = "obs"))]
 mod tests {
     use super::*;
-
-    /// Trace state (sink, current-request) is process-global; serialize.
-    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
-        LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
+    use crate::exclusive;
 
     #[test]
     fn nested_spans_share_request_and_link_parents() {

@@ -43,7 +43,7 @@ impl Observation {
         true_rss_dbm: Option<f64>,
         rng: &mut R,
     ) -> Self {
-        let _t = waldo_prof::scope("observe");
+        let _t = waldo_obs::timed("observe");
         let batch = sensor.capture_reading_batch(true_rss_dbm, rng);
         let extraction = FeatureVector::extract_from_batch(&batch, Window::Hann);
         let raw_pilot_db = extraction.pilot_db;

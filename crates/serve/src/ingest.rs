@@ -214,8 +214,6 @@ impl IngestPlane {
             AppendOutcome::Appended => {
                 self.uploads_total.fetch_add(1, Ordering::Relaxed);
                 self.readings_total.fetch_add(u64::from(readings), Ordering::Relaxed);
-                waldo_prof::count("ingest_batches", 1);
-                waldo_prof::count("ingest_readings", u64::from(readings));
                 if trace_id != 0 {
                     self.pending_trace.store(trace_id, Ordering::Relaxed);
                 }
@@ -224,7 +222,6 @@ impl IngestPlane {
             }
             AppendOutcome::Duplicate => {
                 self.duplicates_total.fetch_add(1, Ordering::Relaxed);
-                waldo_prof::count("ingest_duplicates", 1);
                 Ok(UploadAck { duplicate: true, readings })
             }
         }
@@ -270,7 +267,6 @@ impl IngestPlane {
                         .unwrap_or_else(|e| e.into_inner())
                         .publish_traced(self.channel, &model, trace_id);
                     self.refits_total.fetch_add(1, Ordering::Relaxed);
-                    waldo_prof::count("ingest_refits", 1);
                     waldo_obs::event("ingest_refit_published", &[("epoch", &epoch.to_string())]);
                     Some(report)
                 }
@@ -289,11 +285,17 @@ impl IngestPlane {
     }
 
     /// Current counters and durable-state gauges.
+    ///
+    /// The WAL lock is released before the store lock is taken: a refit
+    /// holds the store lock for its whole pass, and uploads must not queue
+    /// behind a sampler that waits on it. The WAL is still read first.
+    /// The refit worker checkpoints before it truncates, so a snapshot
+    /// that sees `wal_batches == 0` also sees every checkpointed row.
     pub fn snapshot(&self) -> IngestSnapshot {
-        let (wal_batches, stored_readings, checkpoint_seq) = {
-            let wal = self.wal.lock().unwrap_or_else(|e| e.into_inner());
+        let wal_batches = self.wal.lock().unwrap_or_else(|e| e.into_inner()).len() as u64;
+        let (stored_readings, checkpoint_seq) = {
             let store = self.store.lock().unwrap_or_else(|e| e.into_inner());
-            (wal.len() as u64, store.reading_count() as u64, store.manifest().checkpoint_seq)
+            (store.reading_count() as u64, store.manifest().checkpoint_seq)
         };
         let model_epoch = self
             .catalog
@@ -530,6 +532,27 @@ mod tests {
         worker.stop();
         assert_eq!(catalog.read().unwrap().channel(30).unwrap().epoch, 2);
         assert_eq!(plane.snapshot().wal_batches, 0);
+    }
+
+    #[test]
+    fn snapshot_waiting_on_the_store_does_not_block_uploads() {
+        let dir = temp_dir("snapshot-stall");
+        let (plane, _catalog) = plane_in(&dir);
+        let plane = &*plane;
+        // Stand in for a long refit pass: hold the store lock throughout.
+        let store = plane.store.lock().unwrap();
+        std::thread::scope(|s| {
+            let sampler = s.spawn(move || plane.snapshot());
+            // Let the sampler reach the store lock before the upload.
+            std::thread::sleep(Duration::from_millis(200));
+            let (tx, rx) = std::sync::mpsc::channel();
+            s.spawn(move || tx.send(plane.ingest(&strong_batch(21, 4))));
+            let acked = rx.recv_timeout(Duration::from_secs(2));
+            drop(store);
+            sampler.join().unwrap();
+            let ack = acked.expect("upload blocked behind a snapshot waiting on the store");
+            assert!(!ack.unwrap().duplicate);
+        });
     }
 
     #[test]

@@ -35,10 +35,11 @@
 //! Models travel in the compact binary wire format of [`waldo::wire`]
 //! (k-means centroids + per-locality SVM/NB/tree/logistic parameters);
 //! payload identity across epochs is their FNV-1a-64 digest. The whole
-//! path is instrumented with `waldo-prof` (`serve_handle`, `serve_encode`
-//! scopes; `serve_requests`, `serve_bytes_out`, `serve_errors` counters)
-//! and exercised by the `serve_load` multi-client load generator, which
-//! emits `BENCH_serve.json`.
+//! path is timed with `waldo-obs` histograms (`serve_handle`,
+//! `serve_encode`, …; recorded under the `obs` feature), its request,
+//! error and upload counts are the always-on atomics of
+//! [`StatsSnapshot`], and it is exercised by the `serve_load`
+//! multi-client load generator, which emits `BENCH_serve.json`.
 //!
 //! # Examples
 //!

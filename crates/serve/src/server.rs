@@ -277,7 +277,6 @@ impl ServerStats {
     }
 
     fn error(&self) {
-        waldo_prof::count("serve_errors", 1);
         self.errors_total.fetch_add(1, Ordering::Relaxed);
     }
 }
@@ -653,7 +652,6 @@ impl Reactor {
     /// Dispatches one request frame, queueing the response. Error statuses
     /// mark the connection to close once flushed.
     fn handle_request(&self, conn: &mut Conn, payload: &[u8]) {
-        waldo_prof::count("serve_requests", 1);
         self.stats.requests_total.fetch_add(1, Ordering::Relaxed);
         let (req_id, request) = match Request::decode(payload) {
             Ok(parsed) => parsed,
@@ -693,7 +691,6 @@ impl Reactor {
                             self.stats.cache_misses.fetch_add(1, Ordering::Relaxed);
                         }
                         let head = response_head(req_id);
-                        waldo_prof::count("serve_bytes_out", (head.len() + tail.len()) as u64);
                         conn.writer.push_frame_split(&head, &tail);
                     }
                     Some(served) => {
@@ -711,7 +708,6 @@ impl Reactor {
                     req_id,
                     &self.stats.snapshot(self.ingest.as_deref()),
                 );
-                waldo_prof::count("serve_bytes_out", payload.len() as u64);
                 conn.writer.push_frame(&payload);
             }
             Request::Upload { batch } => {
@@ -728,7 +724,6 @@ impl Reactor {
                     Ok(ack) => {
                         let mut payload = encode_response_header(req_id, Status::Ok);
                         payload.extend_from_slice(&ack.encode_body());
-                        waldo_prof::count("serve_bytes_out", payload.len() as u64);
                         conn.writer.push_frame(&payload);
                     }
                     Err(_) => {
@@ -749,7 +744,6 @@ impl Reactor {
                 Some(ingest) => {
                     let mut payload = encode_response_header(req_id, Status::Ok);
                     payload.extend_from_slice(&ingest.snapshot().encode_body());
-                    waldo_prof::count("serve_bytes_out", payload.len() as u64);
                     conn.writer.push_frame(&payload);
                 }
             },
@@ -776,7 +770,6 @@ impl Reactor {
                         self.stats.repl_syncs_total.fetch_add(1, Ordering::Relaxed);
                         let mut payload = encode_response_header(req_id, Status::Ok);
                         payload.extend_from_slice(&state.encode());
-                        waldo_prof::count("serve_bytes_out", payload.len() as u64);
                         conn.writer.push_frame(&payload);
                     }
                 }
@@ -787,7 +780,6 @@ impl Reactor {
                 let encoded = self.metrics.lock().unwrap_or_else(|e| e.into_inner()).encode();
                 let mut payload = encode_response_header(req_id, Status::Ok);
                 payload.extend_from_slice(&encoded);
-                waldo_prof::count("serve_bytes_out", payload.len() as u64);
                 conn.writer.push_frame(&payload);
             }
         }
@@ -802,7 +794,6 @@ impl Reactor {
         body: Option<&FetchResponse>,
     ) {
         let payload = encode_response(req_id, status, body);
-        waldo_prof::count("serve_bytes_out", payload.len() as u64);
         conn.writer.push_frame(&payload);
     }
 }

@@ -1,18 +1,19 @@
 //! The versioned statistics snapshot served by the `Stats` opcode.
 //!
 //! The snapshot carries its own version byte (independent of the frame
-//! protocol version) so fields can be appended without a protocol bump:
-//! a decoder refuses snapshots newer than it understands, and encoders
-//! always write the current [`STATS_VERSION`].
+//! protocol version). Encoders write the current [`STATS_VERSION`] and
+//! decoders accept exactly that version: every peer that speaks the
+//! format builds from this repository, so a layout change bumps the
+//! version and both ends move together.
 //!
 //! ```text
 //! body := stats_version u8 | protocol_version u8 | flags u8
 //!       | accepted_total u64 | active_connections u64
 //!       | busy_rejections u64 | requests_total u64 | errors_total u64
-//!       | cache_hits u64 | cache_misses u64 | reactors u64   (v2+)
+//!       | cache_hits u64 | cache_misses u64 | reactors u64
 //!       | uploads_total u64 | upload_readings u64
-//!       | upload_duplicates u64 | refits_total u64           (v3+)
-//!       | repl_syncs_total u64 | obs_exports_total u64       (v4+)
+//!       | upload_duplicates u64 | refits_total u64
+//!       | repl_syncs_total u64 | obs_exports_total u64
 //!       | endpoint count u32 | endpoint…
 //! endpoint := name len u16 | name utf-8
 //!           | count u64 | sum u64 | min u64 | max u64
@@ -20,14 +21,6 @@
 //! flags    := bit 0: obs compiled in on the server
 //!             bit 1: obs recording enabled at snapshot time
 //! ```
-//!
-//! Version history: v1 ended at `errors_total`; v2 appended the response-
-//! cache and reactor counters of the reactor serving plane; v3 appended
-//! the ingestion-plane counters (uploads, readings, duplicates, refits);
-//! v4 appended the fleet-observability counters (replication syncs and
-//! metrics exports served). A v4 decoder reads every older body with the
-//! missing fields zeroed — the compat matrix is pinned by a table-driven
-//! test over all versions.
 //!
 //! Histograms travel in sparse `(bucket index, count)` form with their
 //! exact count/sum/min/max, so the receiving side reconstructs a
@@ -74,20 +67,20 @@ pub struct StatsSnapshot {
     pub cache_misses: u64,
     /// Reactor event-loop threads the server is running.
     pub reactors: u64,
-    /// Upload batches accepted and durably appended (v3+; zero when no
+    /// Upload batches accepted and durably appended (zero when no
     /// ingestion plane is attached).
     pub uploads_total: u64,
-    /// Readings across accepted upload batches (v3+).
+    /// Readings across accepted upload batches.
     pub upload_readings: u64,
-    /// Upload batches acknowledged as already-ingested duplicates (v3+).
+    /// Upload batches acknowledged as already-ingested duplicates.
     pub upload_duplicates: u64,
-    /// Refit passes that published a refreshed model (v3+).
+    /// Refit passes that published a refreshed model.
     pub refits_total: u64,
-    /// Replication pulls served to followers (v4+). On a leader this is
-    /// the fleet's replication liveness signal: a healthy follower set
-    /// keeps it moving.
+    /// Replication pulls served to followers. On a leader this is the
+    /// fleet's replication liveness signal: a healthy follower set keeps
+    /// it moving.
     pub repl_syncs_total: u64,
-    /// Metrics-series exports served to observers (v4+).
+    /// Metrics-series exports served to observers.
     pub obs_exports_total: u64,
     /// Per-endpoint latency histograms (empty unless obs is recording).
     pub endpoints: Vec<EndpointStats>,
@@ -142,7 +135,7 @@ impl StatsSnapshot {
     /// Decodes a `Stats` response body written by [`encode`](Self::encode).
     pub fn decode(r: &mut Reader<'_>) -> Result<Self, WireError> {
         let version = r.u8()?;
-        if version > STATS_VERSION {
+        if version != STATS_VERSION {
             return Err(WireError::UnsupportedVersion(version));
         }
         let _protocol_version = r.u8()?;
@@ -152,12 +145,15 @@ impl StatsSnapshot {
         let busy_rejections = r.u64()?;
         let requests_total = r.u64()?;
         let errors_total = r.u64()?;
-        let (cache_hits, cache_misses, reactors) =
-            if version >= 2 { (r.u64()?, r.u64()?, r.u64()?) } else { (0, 0, 0) };
-        let (uploads_total, upload_readings, upload_duplicates, refits_total) =
-            if version >= 3 { (r.u64()?, r.u64()?, r.u64()?, r.u64()?) } else { (0, 0, 0, 0) };
-        let (repl_syncs_total, obs_exports_total) =
-            if version >= 4 { (r.u64()?, r.u64()?) } else { (0, 0) };
+        let cache_hits = r.u64()?;
+        let cache_misses = r.u64()?;
+        let reactors = r.u64()?;
+        let uploads_total = r.u64()?;
+        let upload_readings = r.u64()?;
+        let upload_duplicates = r.u64()?;
+        let refits_total = r.u64()?;
+        let repl_syncs_total = r.u64()?;
+        let obs_exports_total = r.u64()?;
         let n = r.u32()? as usize;
         let mut endpoints = Vec::with_capacity(n.min(r.remaining() + 1));
         for _ in 0..n {
@@ -291,101 +287,18 @@ mod tests {
         assert_eq!(back, snap);
     }
 
-    /// Encodes `snap` the way a `version` encoder would have: the counter
-    /// prefix that version knew about, flags zero, an empty endpoint list.
-    fn encode_as_version(snap: &StatsSnapshot, version: u8) -> Vec<u8> {
-        let mut bytes = vec![version, super::super::protocol::PROTOCOL_VERSION, 0];
-        let mut counters = vec![
-            snap.accepted_total,
-            snap.active_connections,
-            snap.busy_rejections,
-            snap.requests_total,
-            snap.errors_total,
-        ];
-        if version >= 2 {
-            counters.extend([snap.cache_hits, snap.cache_misses, snap.reactors]);
-        }
-        if version >= 3 {
-            counters.extend([
-                snap.uploads_total,
-                snap.upload_readings,
-                snap.upload_duplicates,
-                snap.refits_total,
-            ]);
-        }
-        if version >= 4 {
-            counters.extend([snap.repl_syncs_total, snap.obs_exports_total]);
-        }
-        for counter in counters {
-            bytes.extend_from_slice(&counter.to_le_bytes());
-        }
-        bytes.extend_from_slice(&0u32.to_le_bytes());
-        bytes
-    }
-
-    #[test]
-    fn snapshot_version_compat_matrix() {
-        // One row per historical wire version: the bytes that version's
-        // encoder produced must decode to the full snapshot with every
-        // field the version predates zero-filled.
-        let full = StatsSnapshot {
-            obs_compiled: false,
-            obs_enabled: false,
-            accepted_total: 12,
-            active_connections: 3,
-            busy_rejections: 2,
-            requests_total: 4,
-            errors_total: 1,
-            cache_hits: 100,
-            cache_misses: 5,
-            reactors: 4,
-            uploads_total: 9,
-            upload_readings: 360,
-            upload_duplicates: 2,
-            refits_total: 3,
-            repl_syncs_total: 6,
-            obs_exports_total: 8,
-            endpoints: vec![],
-        };
-        let zero_v4 = |s: &StatsSnapshot| StatsSnapshot {
-            repl_syncs_total: 0,
-            obs_exports_total: 0,
-            ..s.clone()
-        };
-        let zero_v3 = |s: &StatsSnapshot| StatsSnapshot {
-            uploads_total: 0,
-            upload_readings: 0,
-            upload_duplicates: 0,
-            refits_total: 0,
-            ..zero_v4(s)
-        };
-        let zero_v2 = |s: &StatsSnapshot| StatsSnapshot {
-            cache_hits: 0,
-            cache_misses: 0,
-            reactors: 0,
-            ..zero_v3(s)
-        };
-        let matrix: [(u8, StatsSnapshot); 4] =
-            [(1, zero_v2(&full)), (2, zero_v3(&full)), (3, zero_v4(&full)), (4, full.clone())];
-        for (version, expected) in &matrix {
-            let bytes = encode_as_version(&full, *version);
-            let back = StatsSnapshot::decode(&mut Reader::new(&bytes))
-                .unwrap_or_else(|e| panic!("v{version} body must decode: {e}"));
-            assert_eq!(&back, expected, "decoding a v{version} body");
-        }
-        // The current encoder's bytes match the synthetic current row —
-        // pinning encode_as_version to the real wire format.
-        assert_eq!(full.encode(), encode_as_version(&full, STATS_VERSION));
-    }
-
     #[test]
     fn future_snapshot_version_is_refused() {
-        let mut bytes = sample_snapshot().encode();
-        bytes[0] = STATS_VERSION + 1;
-        assert!(matches!(
-            StatsSnapshot::decode(&mut Reader::new(&bytes)),
-            Err(WireError::UnsupportedVersion(_))
-        ));
+        // Newer and older version bytes alike: a decoder reads exactly the
+        // layout its own encoder writes.
+        for version in [STATS_VERSION + 1, STATS_VERSION - 1] {
+            let mut bytes = sample_snapshot().encode();
+            bytes[0] = version;
+            assert_eq!(
+                StatsSnapshot::decode(&mut Reader::new(&bytes)),
+                Err(WireError::UnsupportedVersion(version))
+            );
+        }
     }
 
     #[test]

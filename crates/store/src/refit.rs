@@ -83,7 +83,7 @@ impl RefitEngine {
         &mut self,
         store: &SegmentStore,
     ) -> Result<Option<(WaldoModel, RefitReport)>, RefitError> {
-        let _t = waldo_prof::scope("store_refit");
+        let _t = waldo_obs::timed("store_refit");
         let manifest = store.manifest();
         let changed: Vec<usize> = manifest
             .segments

@@ -198,7 +198,7 @@ impl SegmentStore {
     where
         F: Fn(&ReadingSample) -> usize,
     {
-        let _t = waldo_prof::scope("store_checkpoint");
+        let _t = waldo_obs::timed("store_checkpoint");
         // Deterministic fold order: ascending batch ID, in-batch order.
         let mut fresh: Vec<&ReadingBatch> =
             batches.iter().filter(|b| !self.manifest.absorbed.contains(&b.batch_id)).collect();

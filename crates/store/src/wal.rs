@@ -85,7 +85,7 @@ impl ReadingLog {
     ///
     /// [`replay_report`]: Self::replay_report
     pub fn open<P: AsRef<Path>>(path: P) -> Result<Self, StoreError> {
-        let _t = waldo_prof::scope("wal_replay");
+        let _t = waldo_obs::timed("wal_replay");
         let path = path.as_ref().to_path_buf();
         // Existing contents are the whole point of a WAL: open keep-contents
         // (truncate(false)) and replay them below.
@@ -170,7 +170,7 @@ impl ReadingLog {
     /// Returns [`StoreError::Io`] on filesystem failure; the batch is not
     /// counted as accepted in that case.
     pub fn append(&mut self, batch: &ReadingBatch) -> Result<AppendOutcome, StoreError> {
-        let _t = waldo_prof::scope("wal_append");
+        let _t = waldo_obs::timed("wal_append");
         if self.seen.contains(&batch.batch_id) {
             return Ok(AppendOutcome::Duplicate);
         }

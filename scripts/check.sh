@@ -19,13 +19,10 @@ echo "==> cargo test (fault feature armed)"
 # runs the fault crate and the serve chaos tests with them armed.
 cargo test -p waldo-fault -p waldo-serve --features "waldo-fault/fault waldo-serve/fault" -q
 
-echo "==> cargo test -p waldo-prof --features prof"
-cargo test -p waldo-prof --features prof -q
-
 echo "==> cargo test (obs feature armed)"
 # The obs instrumentation compiles to no-ops by default; this pass runs
-# the histogram/trace property tests and the serve request-ID propagation
-# and stats-snapshot tests with recording compiled in.
+# the stage-timer, histogram and trace tests and the serve request-ID
+# propagation and stats-snapshot tests with recording compiled in.
 cargo test -p waldo-obs -p waldo-serve --features "waldo-obs/obs waldo-serve/obs" -q
 
 echo "==> bench smoke (probe --bench-only + gate)"
@@ -33,9 +30,9 @@ echo "==> bench smoke (probe --bench-only + gate)"
 # fails if any stage timer went missing or svm_fit regressed more than 2x
 # against the checked-in floor (scripts/bench_floor.json).
 mkdir -p target
-cargo run --release -p waldo-bench --features prof --bin probe -- \
+cargo run --release -p waldo-bench --features obs --bin probe -- \
     --quick --bench-only --out target/BENCH_smoke.json
-cargo run --release -p waldo-bench --features prof --bin gate -- \
+cargo run --release -p waldo-bench --features obs --bin gate -- \
     target/BENCH_smoke.json scripts/bench_floor.json
 
 echo "==> criterion smoke (extract_fused vs extract_reference)"
@@ -56,10 +53,10 @@ echo "==> serve smoke (serve_load --quick --obs-overhead + gate --obs --ingest)"
 # the upload-rate floor and refit-latency ceiling from the ingest report
 # (scripts/bench_floor.json) and, with --obs, the recording-overhead
 # ceiling on the obs-enabled build.
-cargo run --release -p waldo-bench --features "prof obs" --bin serve_load -- \
+cargo run --release -p waldo-bench --features obs --bin serve_load -- \
     --quick --connections 256 --obs-overhead --out target/BENCH_serve_smoke.json \
     --ingest-out target/BENCH_ingest_smoke.json
-cargo run --release -p waldo-bench --features prof --bin gate -- \
+cargo run --release -p waldo-bench --features obs --bin gate -- \
     target/BENCH_smoke.json scripts/bench_floor.json target/BENCH_serve_smoke.json --obs \
     --ingest target/BENCH_ingest_smoke.json
 
@@ -85,10 +82,10 @@ echo "==> chaos smoke (chaos_soak --quick + gate --chaos)"
 # that missed the refit; the gate additionally requires every fault
 # category to have fired and enforces the recovery-latency ceiling
 # (scripts/bench_floor.json).
-cargo run --release -p waldo-bench --features "prof fault" --bin chaos_soak -- \
+cargo run --release -p waldo-bench --features "obs fault" --bin chaos_soak -- \
     --quick --out target/BENCH_chaos_smoke.json \
     --timeline target/chaos_timeline_smoke.jsonl
-cargo run --release -p waldo-bench --features prof --bin gate -- \
+cargo run --release -p waldo-bench --features obs --bin gate -- \
     target/BENCH_smoke.json scripts/bench_floor.json --chaos target/BENCH_chaos_smoke.json
 
 echo "==> failover drill smoke (failover_drill --quick + gate --failover --slo --history)"
@@ -107,10 +104,10 @@ echo "==> failover drill smoke (failover_drill --quick + gate --failover --slo -
 # metrics — now including the replication catch-up p99 and the obs
 # overhead fraction — to results/bench_history.jsonl and fails on any
 # sustained (last-2-entries) trend regression.
-cargo run --release -p waldo-bench --features "prof fault" --bin failover_drill -- \
+cargo run --release -p waldo-bench --features "obs fault" --bin failover_drill -- \
     --quick --out target/BENCH_failover_smoke.json \
     --timeline target/fleet_timeline_smoke.jsonl
-cargo run --release -p waldo-bench --features prof --bin gate -- \
+cargo run --release -p waldo-bench --features obs --bin gate -- \
     target/BENCH_smoke.json scripts/bench_floor.json target/BENCH_serve_smoke.json --obs \
     --failover target/BENCH_failover_smoke.json \
     --slo target/fleet_timeline_smoke.jsonl \
