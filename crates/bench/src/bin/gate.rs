@@ -73,7 +73,9 @@
 //!   tracked metric shows a *sustained* regression — every one of the last
 //!   [`TREND_RECENT`] entries worse than the best earlier entry by more
 //!   than [`TREND_REGRESSION_LIMIT`]× (direction-aware; a single noisy
-//!   run cannot trip it, and fewer than three entries always pass).
+//!   run cannot trip it, and fewer than three entries always pass). A
+//!   line whose `ts` equals the newest entry's is refused as a repeat of
+//!   that run.
 
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -701,7 +703,9 @@ fn history_entry(
 
 /// Appends `entry` as one JSONL line and returns the full series,
 /// oldest first (unparseable lines are reported, not skipped silently —
-/// a corrupt history should be noticed, not eroded).
+/// a corrupt history should be noticed, not eroded). An entry whose `ts`
+/// equals the newest entry's is refused: it is the same run recorded
+/// twice, and the trend guard would compare that run with itself.
 fn append_history(path: &str, entry: &Value) -> Result<Vec<Value>, String> {
     let mut entries = Vec::new();
     match std::fs::read_to_string(path) {
@@ -717,6 +721,14 @@ fn append_history(path: &str, entry: &Value) -> Result<Vec<Value>, String> {
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
         Err(e) => return Err(format!("cannot read {path}: {e}")),
+    }
+    let ts = |e: &Value| e.get("ts").and_then(Value::as_f64);
+    if let (Some(newest), Some(new)) = (entries.last().and_then(ts), ts(entry)) {
+        if newest == new {
+            return Err(format!(
+                "{path}: refusing a second history entry with ts {new}: the newest entry already records this run"
+            ));
+        }
     }
     if let Some(parent) = std::path::Path::new(path).parent() {
         if !parent.as_os_str().is_empty() {
@@ -896,5 +908,27 @@ fn main() -> ExitCode {
             eprintln!("gate FAILED: {msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use serde_json::json;
+
+    #[test]
+    fn append_history_refuses_a_repeated_newest_ts() {
+        let path = std::env::temp_dir().join(format!("gate_history_{}.jsonl", std::process::id()));
+        let path = path.to_str().expect("temp path is UTF-8");
+        let _ = std::fs::remove_file(path);
+        assert_eq!(
+            append_history(path, &json!({"ts": 1.0, "svm_fit_ns_per_fit": 5.0})).unwrap().len(),
+            1
+        );
+        let err = append_history(path, &json!({"ts": 1.0, "svm_fit_ns_per_fit": 5.0})).unwrap_err();
+        assert!(err.contains("ts 1"), "{err}");
+        let entries = append_history(path, &json!({"ts": 2.0, "svm_fit_ns_per_fit": 6.0})).unwrap();
+        assert_eq!(entries.len(), 2, "the refused entry must not reach the file");
+        std::fs::remove_file(path).unwrap();
     }
 }

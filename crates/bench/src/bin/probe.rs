@@ -2,8 +2,9 @@
 //! parameters can be validated before the full harness is wired up.
 //!
 //! Always starts by timing the pipeline substrate — serial vs parallel
-//! `Context::build`, planned vs ad-hoc FFT, error-cached vs naive SMO,
-//! fused-batch vs per-frame synthesis and feature extraction, and the
+//! `Context::build`, planned vs ad-hoc vs lane-wise FFT, error-cached vs
+//! naive SMO, fused-batch vs per-frame synthesis, lane-kernel vs
+//! per-frame-oracle feature extraction, and the
 //! online detector ingest rate — and writing the numbers to
 //! `BENCH_pipeline.json` (override with `--out <path>`). When built with
 //! the `obs` feature the report also carries the per-stage wall-clock
@@ -25,15 +26,18 @@ use waldo::baseline::{SpectrumDatabase, VScope};
 use waldo::eval::{cross_validate, evaluate_assessor};
 use waldo::{ClassifierKind, WaldoConfig};
 use waldo_bench::{Context, Scale};
-use waldo_iq::{fft, Complex, FeatureSet, FrameSynthesizer};
+use waldo_iq::{fft, Complex, FeatureSet, FrameSynthesizer, EXTRACT_LANES};
 use waldo_ml::svm::{Kernel, SvmTrainer};
 use waldo_ml::Dataset;
 use waldo_rf::TvChannel;
 use waldo_sensors::SensorKind;
 
 /// Times planned (cached [`fft::FftPlan`]) vs per-call (plan rebuilt every
-/// transform) 256-point FFTs. Returns mean nanoseconds per call.
-fn bench_fft_256() -> (f64, f64) {
+/// transform) 256-point FFTs, and the per-frame share of one
+/// [`fft::FftPlan::forward_lanes`] call over [`EXTRACT_LANES`] frames —
+/// the transform the extraction kernel runs. Returns mean nanoseconds per
+/// frame `(planned, unplanned, lanes)`.
+fn bench_fft_256() -> (f64, f64, f64) {
     const N: usize = 256;
     const ITERS: u32 = 10_000;
     const PASSES: usize = 5;
@@ -43,11 +47,19 @@ fn bench_fft_256() -> (f64, f64) {
     let mut buf = samples.clone();
     // Warm the thread-local plan cache before timing the planned path.
     fft::fft(&mut buf).expect("256 is a power of two");
+    let plan = fft::plan_for(N).expect("256 is a power of two");
+    let lane_re: Vec<[f64; EXTRACT_LANES]> =
+        samples.iter().map(|z| [z.re; EXTRACT_LANES]).collect();
+    let lane_im: Vec<[f64; EXTRACT_LANES]> =
+        samples.iter().map(|z| [z.im; EXTRACT_LANES]).collect();
+    let (mut re, mut im) = (lane_re.clone(), lane_im.clone());
+    let lane_iters = ITERS / EXTRACT_LANES as u32;
 
     // Best-of-PASSES: the minimum per-call time is the least polluted by
     // scheduler noise on a loaded host.
     let mut planned_ns = f64::INFINITY;
     let mut unplanned_ns = f64::INFINITY;
+    let mut lanes_ns = f64::INFINITY;
     for _ in 0..PASSES {
         let t = Instant::now();
         for _ in 0..ITERS {
@@ -62,8 +74,17 @@ fn bench_fft_256() -> (f64, f64) {
             fft::fft_unplanned(std::hint::black_box(&mut buf)).expect("256 is a power of two");
         }
         unplanned_ns = unplanned_ns.min(t.elapsed().as_nanos() as f64 / f64::from(ITERS));
+
+        let t = Instant::now();
+        for _ in 0..lane_iters {
+            re.copy_from_slice(&lane_re);
+            im.copy_from_slice(&lane_im);
+            plan.forward_lanes(std::hint::black_box(&mut re), std::hint::black_box(&mut im));
+        }
+        let frames = f64::from(lane_iters) * EXTRACT_LANES as f64;
+        lanes_ns = lanes_ns.min(t.elapsed().as_nanos() as f64 / frames);
     }
-    (planned_ns, unplanned_ns)
+    (planned_ns, unplanned_ns, lanes_ns)
 }
 
 /// Times error-cached SMO ([`SvmTrainer::fit`]) vs the retained naive
@@ -138,9 +159,10 @@ fn bench_frame_synth() -> (f64, f64, f64) {
     (fused_ns, reference_ns, unbatched_ns)
 }
 
-/// Times fused SoA feature extraction vs the retained per-frame reference
-/// on one 24-frame reading. Returns best-of-passes nanoseconds per reading
-/// `(fused, reference)`.
+/// Times the shipped lane-kernel extraction
+/// ([`FeatureVector::extract_from_batch`]) against the per-frame oracle it
+/// is bit-identical to, on one 24-frame reading. Returns best-of-passes
+/// nanoseconds per reading `(lanes, per_frame_oracle)`.
 fn bench_extract() -> (f64, f64) {
     use waldo_iq::{window::Window, FeatureVector};
     const ITERS: u32 = 2_000;
@@ -149,8 +171,8 @@ fn bench_extract() -> (f64, f64) {
     let batch = synth.synthesize_batch(24, &mut StdRng::seed_from_u64(5));
     let frames = batch.to_frames();
 
-    let mut fused_ns = f64::INFINITY;
-    let mut reference_ns = f64::INFINITY;
+    let mut lanes_ns = f64::INFINITY;
+    let mut oracle_ns = f64::INFINITY;
     for _ in 0..PASSES {
         let t = Instant::now();
         for _ in 0..ITERS {
@@ -159,7 +181,7 @@ fn bench_extract() -> (f64, f64) {
                 Window::Hann,
             ));
         }
-        fused_ns = fused_ns.min(t.elapsed().as_nanos() as f64 / f64::from(ITERS));
+        lanes_ns = lanes_ns.min(t.elapsed().as_nanos() as f64 / f64::from(ITERS));
 
         let t = Instant::now();
         for _ in 0..ITERS {
@@ -168,9 +190,9 @@ fn bench_extract() -> (f64, f64) {
                 Window::Hann,
             ));
         }
-        reference_ns = reference_ns.min(t.elapsed().as_nanos() as f64 / f64::from(ITERS));
+        oracle_ns = oracle_ns.min(t.elapsed().as_nanos() as f64 / f64::from(ITERS));
     }
-    (fused_ns, reference_ns)
+    (lanes_ns, oracle_ns)
 }
 
 /// One synthetic calibrated observation at `rss` dBm (mirrors the
@@ -260,10 +282,11 @@ fn total_readings(ctx: &Context) -> usize {
 /// profile, and writes the report to `out`. Returns the parallel-built
 /// context for the tuning sections.
 fn bench_pipeline(scale: Scale, out: &str) -> Context {
-    let (planned_ns, unplanned_ns) = bench_fft_256();
+    let (planned_ns, unplanned_ns, lanes_ns) = bench_fft_256();
     eprintln!(
-        "fft_256: planned {planned_ns:.0} ns, per-call plan {unplanned_ns:.0} ns ({:.2}x)",
-        unplanned_ns / planned_ns
+        "fft_256: planned {planned_ns:.0} ns, per-call plan {unplanned_ns:.0} ns ({:.2}x), lane-wise {lanes_ns:.0} ns/frame ({:.2}x)",
+        unplanned_ns / planned_ns,
+        planned_ns / lanes_ns
     );
     let (svm_cached_ns, svm_naive_ns) = bench_svm_fit();
     eprintln!(
@@ -278,12 +301,12 @@ fn bench_pipeline(scale: Scale, out: &str) -> Context {
         synth_reference_ns / synth_fused_ns,
         synth_unbatched_ns / synth_fused_ns
     );
-    let (extract_fused_ns, extract_reference_ns) = bench_extract();
+    let (extract_lanes_ns, extract_oracle_ns) = bench_extract();
     eprintln!(
-        "extract_24_frame: fused {:.1} µs, reference {:.1} µs ({:.2}x)",
-        extract_fused_ns / 1e3,
-        extract_reference_ns / 1e3,
-        extract_reference_ns / extract_fused_ns
+        "extract_24_frame: lanes {:.1} µs, per-frame oracle {:.1} µs ({:.2}x)",
+        extract_lanes_ns / 1e3,
+        extract_oracle_ns / 1e3,
+        extract_oracle_ns / extract_lanes_ns
     );
     let detector_push_per_s = bench_detector_push();
     eprintln!("detector_push: {detector_push_per_s:.0} readings/s");
@@ -363,6 +386,7 @@ fn bench_pipeline(scale: Scale, out: &str) -> Context {
             "planned_ns_per_call": planned_ns,
             "unplanned_ns_per_call": unplanned_ns,
             "speedup": unplanned_ns / planned_ns,
+            "lanes_ns_per_frame": lanes_ns,
         }),
         "svm_fit": json!({
             "cached_ns_per_fit": svm_cached_ns,
@@ -377,9 +401,9 @@ fn bench_pipeline(scale: Scale, out: &str) -> Context {
             "speedup_vs_unbatched": synth_unbatched_ns / synth_fused_ns,
         }),
         "extract": json!({
-            "fused_ns_per_reading": extract_fused_ns,
-            "reference_ns_per_reading": extract_reference_ns,
-            "speedup": extract_reference_ns / extract_fused_ns,
+            "lanes_ns_per_reading": extract_lanes_ns,
+            "per_frame_oracle_ns_per_reading": extract_oracle_ns,
+            "speedup": extract_oracle_ns / extract_lanes_ns,
         }),
         "detector_push": json!({
             "readings_per_s": detector_push_per_s,

@@ -5,9 +5,9 @@
 //! forces every consumer to walk interleaved re/im pairs; [`FrameBatch`]
 //! instead holds one reading's worth of frames as two contiguous planes
 //! (all re samples, all im samples, frame-major), which is what lets the
-//! synthesis fill run once per reading and the fused feature kernel stream
-//! each frame straight through window → FFT → shifted-power accumulation
-//! without materializing intermediates (DESIGN.md §14).
+//! synthesis fill run once per reading and the lane extraction kernel
+//! window a group of frames straight from the planes into its
+//! `[sample][lane]` FFT scratch (DESIGN.md §14).
 
 use crate::{Complex, IqFrame};
 

@@ -15,7 +15,7 @@ use serde::{Deserialize, Serialize};
 use crate::spectral::with_spectral;
 use crate::units::power_to_db;
 use crate::window::Window;
-use crate::IqFrame;
+use crate::{FrameBatch, IqFrame};
 
 /// Energy detector with a configurable analysis window and pilot bin span.
 ///
@@ -91,9 +91,10 @@ impl EnergyDetector {
     /// normalized by the window's coherent gain so a pure tone reads its true
     /// power.
     ///
-    /// The window coefficients, FFT twiddles and span-response
-    /// normalization come from the thread's cached spectral context, so
-    /// each call costs one planned FFT and nothing else.
+    /// The frame runs through the same lane kernel as feature extraction,
+    /// as a one-frame batch; the window coefficients, FFT twiddles and
+    /// span-response normalization come from the thread's cached spectral
+    /// context.
     ///
     /// # Panics
     ///
@@ -101,9 +102,10 @@ impl EnergyDetector {
     /// system are always 256 samples).
     pub fn pilot_dbfs(&self, frame: &IqFrame) -> f64 {
         let n = frame.len();
+        let batch = FrameBatch::from_frames(std::slice::from_ref(frame));
         with_spectral(self.window, n, |ctx| {
             ctx.reset_power();
-            ctx.accumulate_shifted_power(frame, 1.0);
+            ctx.accumulate_batch(&batch, 1.0, |_| {});
             let center = n / 2;
             let half_span = self.pilot_bins / 2;
             let lo = center.saturating_sub(half_span);
@@ -245,6 +247,32 @@ mod tests {
         let measured_floor = 10.0 * mean.log10();
         let predicted = -60.0 - det.noise_rejection_db(256);
         assert!((measured_floor - predicted).abs() < 1.0, "{measured_floor} vs {predicted}");
+    }
+
+    #[test]
+    fn pilot_dbfs_bits_are_pinned() {
+        // Bit patterns the one-frame `FftPlan::forward` path produced for
+        // these seeded frames before `pilot_dbfs` moved onto the lane
+        // kernel; the move must not change a single bit.
+        let mut rng = StdRng::seed_from_u64(1307);
+        let occupied =
+            FrameSynthesizer::new(256).pilot_dbfs(-50.0).data_dbfs(-52.5).noise_dbfs(-70.0);
+        let vacant = FrameSynthesizer::new(256).noise_dbfs(-70.0);
+        let short =
+            FrameSynthesizer::new(64).pilot_dbfs(-40.0).noise_dbfs(-60.0).pilot_offset_cycles(1.3);
+        let hann = EnergyDetector::new();
+        let wide = EnergyDetector::new().with_window(Window::Blackman).with_pilot_bins(5);
+        let got = [
+            hann.pilot_dbfs(&occupied.synthesize(&mut rng)),
+            hann.pilot_dbfs(&vacant.synthesize(&mut rng)),
+            wide.pilot_dbfs(&occupied.synthesize(&mut rng)),
+            wide.pilot_dbfs(&short.synthesize(&mut rng)),
+        ]
+        .map(f64::to_bits);
+        assert_eq!(
+            got,
+            [0xc049760e639ea92c, 0xc056f785af8886bc, 0xc048f1be298428f6, 0xc0440a0a36ea03ba]
+        );
     }
 
     fn db_to_lin(db: f64) -> f64 {

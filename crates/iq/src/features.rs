@@ -167,12 +167,12 @@ pub struct Extraction {
 /// Raw per-frame sample moments, accumulated in one pass: Σre, Σre²,
 /// Σre³, Σre⁴ and Σim². Everything the time-domain features need — power,
 /// I/Q power, mean, variance, kurtosis — falls out of these five sums, so
-/// one walk over the samples replaces the historical six. Both the fused
-/// SoA path and the per-frame reference path drive this same accumulator
+/// one walk over the samples replaces the historical six. Both the lane
+/// kernel and the per-frame oracle drive this same accumulator
 /// in the same sample order, which is what makes their feature vectors
 /// bit-identical (LLVM does not reassociate float adds without fast-math).
-#[derive(Debug, Default, Clone, Copy)]
-struct FrameMoments {
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+pub(crate) struct FrameMoments {
     s1: f64,
     s2: f64,
     s3: f64,
@@ -183,7 +183,7 @@ struct FrameMoments {
 impl FrameMoments {
     /// Folds one sample (in-phase `x`, quadrature `y`) into the sums.
     #[inline]
-    fn accumulate(&mut self, x: f64, y: f64) {
+    pub(crate) fn accumulate(&mut self, x: f64, y: f64) {
         let x2 = x * x;
         self.s1 += x;
         self.s2 += x2;
@@ -280,14 +280,13 @@ impl FeatureVector {
     /// single-frame pilot estimates carry ~3.5 dB of chi-square noise that
     /// would swamp the −84 dBm decision).
     ///
-    /// Each frame costs exactly one planned FFT: the window coefficients,
-    /// twiddle tables and scratch buffers come from the thread's cached
-    /// spectral context, so the steady state allocates nothing and
-    /// evaluates no trig. Returns the features along with the batch pilot
-    /// estimate.
+    /// Each frame is transformed once, lane-wise with its group: the
+    /// window coefficients, twiddle tables and scratch buffers come from
+    /// the thread's cached spectral context, so the steady state evaluates
+    /// no trig. Returns the features along with the batch pilot estimate.
     ///
     /// This is a thin wrapper that copies the frames into a [`FrameBatch`]
-    /// and runs the fused [`Self::extract_from_batch`] kernel; callers
+    /// and runs the [`Self::extract_from_batch`] lane kernel; callers
     /// that already hold a batch should extract from it directly and skip
     /// the copy.
     ///
@@ -299,14 +298,16 @@ impl FeatureVector {
         Self::extract_from_batch(&FrameBatch::from_frames(frames), window)
     }
 
-    /// The fused SoA pipeline: one pass per frame over the batch's re/im
-    /// planes covers the windowed FFT with shift-during-accumulate
-    /// ([`crate::spectral`]) *and* the single-pass raw-moment time
-    /// statistics — no interleaved intermediates, no separate passes for
-    /// power / I-Q power / mean / variance / kurtosis. Produces
-    /// bit-identical results to [`Self::extract_from_frames_reference`]
-    /// on the same frames: both paths share the per-sample moment
-    /// accumulator and the spectral finalization (DESIGN.md §14).
+    /// The shipped extraction kernel. The lane kernel of `spectral.rs`
+    /// transforms the batch [`crate::EXTRACT_LANES`] frames at a time:
+    /// one window pass transposes a group into `[sample][lane]` scratch
+    /// and folds each frame's raw time-domain moments, one lane-wise FFT
+    /// runs the plan's bit-reversal and twiddles for the whole group, and
+    /// the shifted powers are added lane by lane in frame order
+    /// (DESIGN.md §14.2). Produces bit-identical results to
+    /// [`Self::extract_from_frames_reference`] on the same frames: every
+    /// lane repeats the one-frame FFT's operations, and both paths share
+    /// the moment accumulator, its sample order and the finalization.
     ///
     /// # Panics
     ///
@@ -319,27 +320,19 @@ impl FeatureVector {
             let k = batch.frames() as f64;
             let mut time = TimeAverages::default();
             ctx.reset_power();
-            for f in 0..batch.frames() {
-                let (re, im) = (batch.re_plane(f), batch.im_plane(f));
-                ctx.accumulate_shifted_power_planes(re, im, 1.0 / (norm * k));
-                let mut moments = FrameMoments::default();
-                for (&x, &y) in re.iter().zip(im) {
-                    moments.accumulate(x, y);
-                }
-                time.add_frame(&moments, n as f64, k);
-            }
+            ctx.accumulate_batch(batch, 1.0 / (norm * k), |moments| {
+                time.add_frame(moments, n as f64, k);
+            });
             finalize_extraction(ctx, n, norm, &time)
         })
     }
 
-    /// The pre-fusion per-frame path, retained as the benchmark baseline
-    /// and equivalence reference: one
-    /// [`Spectral::accumulate_shifted_power`] call per interleaved frame
-    /// plus the shared single-pass time-statistics accumulator. (The
-    /// historical separate `mean_power`/`p_i`/`p_q`/mean/variance/kurtosis
-    /// passes are gone here too — `time_power` is just `p_i + p_q`, so the
-    /// six passes were recomputing each other — which keeps this path
-    /// bit-comparable with the fused one.)
+    /// The per-frame oracle: one [`FftPlan::forward`](crate::FftPlan::forward)
+    /// per interleaved frame via `Spectral::accumulate_shifted_power`,
+    /// plus the shared single-pass time-statistics accumulator. No
+    /// shipped path runs it. It stays only as the bit-identity oracle for
+    /// [`Self::extract_from_batch`] (`tests/properties.rs`) and as the
+    /// baseline of probe's `extract` row.
     ///
     /// # Panics
     ///

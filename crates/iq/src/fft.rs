@@ -10,6 +10,17 @@
 //! fetch a thread-local cached plan, so steady-state transforms do no trig
 //! and no allocation. [`dft_naive`] is the O(n²) reference the tests
 //! validate against.
+//!
+//! [`FftPlan::forward_lanes`] runs the same plan over several frames at
+//! once in the `[sample][lane]` layout (`re[i][l]` is sample `i` of frame
+//! `l`). Feature extraction transforms a reading's frames
+//! [`crate::EXTRACT_LANES`] at a time this way (`crate::spectral`). Each
+//! lane repeats the scalar butterfly sequence of [`FftPlan::forward`]
+//! with the same twiddle entries, and Rust neither reassociates float
+//! adds nor fuses them into FMA, so every lane is bit-identical to
+//! `forward` on its frame. On the extraction path the one-frame
+//! `forward` is now only the oracle the lane kernel is tested and
+//! benchmarked against.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -122,6 +133,65 @@ impl FftPlan {
         let scale = 1.0 / self.n as f64;
         for z in data.iter_mut() {
             *z = z.scale(scale);
+        }
+    }
+
+    /// In-place forward FFT of `L` frames at once, held in the
+    /// `[sample][lane]` layout: `re[i][l]`/`im[i][l]` is sample `i` of
+    /// frame (lane) `l`. One pass of this plan's bit-reversal permutation
+    /// and twiddle table serves every lane, and each butterfly is an
+    /// `L`-wide array op that autovectorizes even in the 2- and 4-point
+    /// stages, where the one-frame transform has nothing to vectorize.
+    ///
+    /// Lane `l` sees exactly the scalar operation sequence of
+    /// [`forward`](Self::forward) on that frame: the same swaps, the same
+    /// twiddle entry, the same products and sums in the same order. Rust
+    /// neither reassociates float adds nor contracts them into FMA, so
+    /// every lane's output is bit-identical to `forward`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either plane's length differs from [`len`](Self::len).
+    pub fn forward_lanes<const L: usize>(&self, re: &mut [[f64; L]], im: &mut [[f64; L]]) {
+        assert_eq!(re.len(), self.n, "re lanes must hold one plan length of samples");
+        assert_eq!(im.len(), self.n, "im lanes must hold one plan length of samples");
+        let n = self.n;
+        if n == 1 {
+            return;
+        }
+        for i in 0..n {
+            let j = self.rev[i] as usize;
+            if j > i {
+                re.swap(i, j);
+                im.swap(i, j);
+            }
+        }
+        let mut half = 1;
+        while half < n {
+            let stage = &self.twiddles[half - 1..2 * half - 1];
+            for (cre, cim) in re.chunks_exact_mut(2 * half).zip(im.chunks_exact_mut(2 * half)) {
+                let (ure, vre) = cre.split_at_mut(half);
+                let (uim, vim) = cim.split_at_mut(half);
+                for ((((ur, ui), vr), vi), tw) in ure
+                    .iter_mut()
+                    .zip(uim.iter_mut())
+                    .zip(vre.iter_mut())
+                    .zip(vim.iter_mut())
+                    .zip(stage)
+                {
+                    for l in 0..L {
+                        // `chunk[i + half] * tw`, term for term as `Complex::mul`.
+                        let pr = vr[l] * tw.re - vi[l] * tw.im;
+                        let pi = vr[l] * tw.im + vi[l] * tw.re;
+                        let (a, b) = (ur[l], ui[l]);
+                        ur[l] = a + pr;
+                        ui[l] = b + pi;
+                        vr[l] = a - pr;
+                        vi[l] = b - pi;
+                    }
+                }
+            }
+            half <<= 1;
         }
     }
 

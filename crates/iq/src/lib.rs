@@ -11,8 +11,9 @@
 //! * [`Complex`] — a minimal complex number type.
 //! * [`FrameBatch`] — structure-of-arrays storage for one reading's worth
 //!   of frames, the unit of the fused synth → FFT → feature pipeline.
-//! * [`fft`] — an iterative radix-2 FFT driven by cached [`FftPlan`]s
-//!   (plus a reference DFT used in tests).
+//! * [`fft`] — an iterative radix-2 FFT driven by cached [`FftPlan`]s,
+//!   one frame at a time or [`EXTRACT_LANES`] frames lane-wise (plus a
+//!   reference DFT used in tests).
 //! * [`window`] — Hann / Hamming / Blackman / rectangular windows.
 //! * [`synth`] — ATSC-like frame synthesis: pilot tone (11.3 dB below total
 //!   channel power) + noise-like 8VSB data skirt + AWGN.
@@ -56,5 +57,6 @@ pub use complex::Complex;
 pub use detect::EnergyDetector;
 pub use features::{Extraction, FeatureKind, FeatureSet, FeatureVector};
 pub use fft::FftPlan;
+pub use spectral::EXTRACT_LANES;
 pub use synth::{FrameSynthesizer, IqFrame};
 pub use units::{db_power_sum, db_to_power, power_to_db};

@@ -6,6 +6,7 @@ use rand::SeedableRng;
 use waldo_iq::window::Window;
 use waldo_iq::{
     db_to_power, fft, power_to_db, Complex, FeatureVector, FrameBatch, FrameSynthesizer, IqFrame,
+    EXTRACT_LANES,
 };
 
 fn arb_frame(len: usize) -> impl Strategy<Value = Vec<Complex>> {
@@ -69,20 +70,24 @@ proptest! {
         prop_assert!(((a * b) / b - a).abs() < 1e-6);
     }
 
-    /// The fused SoA extraction and the per-frame reference path share the
-    /// per-sample moment accumulator and the spectral finalization, so on
-    /// identical frames — draw order preserved by construction — every
-    /// feature and the pilot estimate must agree to the bit, across
-    /// occupied and vacant channels and all batch sizes.
+    /// The lane kernel and the per-frame oracle share the per-sample
+    /// moment accumulator and the spectral finalization, and every lane
+    /// repeats the one-frame FFT's operations, so on identical frames —
+    /// draw order preserved by construction — every feature and the pilot
+    /// estimate must agree to the bit, across occupied and vacant
+    /// channels, 64- and 256-sample frames, and batch sizes 1..=2L+1
+    /// (full lane groups plus every partial tail group).
     #[test]
     fn fused_extraction_is_bit_identical_to_reference(
         seed in 0u64..1_000,
-        frames in 1usize..8,
+        frames in 1usize..=2 * EXTRACT_LANES + 1,
+        long in any::<bool>(),
         occupied in any::<bool>(),
         pilot in -60.0f64..-25.0,
         noise in -75.0f64..-50.0,
     ) {
-        let mut synth = FrameSynthesizer::new(64).noise_dbfs(noise);
+        let n = if long { 256 } else { 64 };
+        let mut synth = FrameSynthesizer::new(n).noise_dbfs(noise);
         if occupied {
             synth = synth.pilot_dbfs(pilot).data_dbfs(pilot - 2.5).pilot_offset_cycles(1.3);
         }

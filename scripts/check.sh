@@ -35,9 +35,9 @@ cargo run --release -p waldo-bench --features obs --bin probe -- \
 cargo run --release -p waldo-bench --features obs --bin gate -- \
     target/BENCH_smoke.json scripts/bench_floor.json
 
-echo "==> criterion smoke (extract_fused vs extract_reference)"
-# One quick criterion pass over the fused-vs-reference extraction pair so
-# the kernels bench target keeps compiling and the fused path keeps
+echo "==> criterion smoke (extract_lanes vs extract_per_frame_oracle)"
+# One quick criterion pass over the lane-kernel-vs-oracle extraction pair
+# so the kernels bench target keeps compiling and the shipped kernel keeps
 # appearing in bench listings.
 cargo bench -p waldo-bench --bench kernels -- extract_
 
