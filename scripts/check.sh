@@ -101,16 +101,23 @@ echo "==> failover drill smoke (failover_drill --quick + gate --failover --slo -
 # (scripts/bench_floor.json), evaluates the declarative fleet SLOs
 # (availability, fetch p99 budget, replication-lag budget, zero
 # incorrect-safe) over the timeline, then appends this run's headline
-# metrics — now including the replication catch-up p99 and the obs
-# overhead fraction — to results/bench_history.jsonl and fails on any
-# sustained (last-2-entries) trend regression.
+# metrics — including the replication catch-up p99 and the obs overhead
+# fraction — to the bench history and fails on any sustained
+# (last-2-entries) trend regression. The history it appends to is
+# target/bench_history.jsonl, seeded from the tracked
+# results/bench_history.jsonl when absent: a fresh checkout judges this
+# run against exactly the tracked entries, later runs on the same host
+# accumulate there, and the tracked ledger is never modified.
 cargo run --release -p waldo-bench --features "obs fault" --bin failover_drill -- \
     --quick --out target/BENCH_failover_smoke.json \
     --timeline target/fleet_timeline_smoke.jsonl
+if [ ! -f target/bench_history.jsonl ]; then
+    cp results/bench_history.jsonl target/bench_history.jsonl
+fi
 cargo run --release -p waldo-bench --features obs --bin gate -- \
     target/BENCH_smoke.json scripts/bench_floor.json target/BENCH_serve_smoke.json --obs \
     --failover target/BENCH_failover_smoke.json \
     --slo target/fleet_timeline_smoke.jsonl \
-    --history results/bench_history.jsonl
+    --history target/bench_history.jsonl
 
 echo "ok"
