@@ -153,6 +153,18 @@ fn bench_classifiers(c: &mut Criterion) {
             SvmTrainer::new().kernel(Kernel::Rbf { gamma: 0.5 }).fit(black_box(&small)).unwrap()
         });
     });
+    // The size a refit pays per changed locality: `svm_train_cap` = 900
+    // rows of location + two signal features, RBF γ = 0.5, C = 10.
+    group.bench_function("svm_fit_900x4", |b| {
+        let cap = classification_dataset(900, 4, 8);
+        b.iter(|| {
+            SvmTrainer::new()
+                .c(10.0)
+                .kernel(Kernel::Rbf { gamma: 0.5 })
+                .fit(black_box(&cap))
+                .unwrap()
+        });
+    });
     // The pre-error-cache SMO (random second multiplier, f() recomputed
     // per candidate) — the "before" of the svm_fit before/after numbers.
     group.bench_function("svm_fit_naive_300x4", |b| {
@@ -218,6 +230,22 @@ fn bench_system(c: &mut Criterion) {
     group.bench_function("label_5k_tiny_radius", |b| {
         let labeler = Labeler::new().radius_m(0.001);
         b.iter(|| labeler.label(black_box(&readings_5k)));
+    });
+
+    // The relabel a `wide` refit pays: ~14k stored readings (campaign plus
+    // uploads) through Algorithm 1 on every pass.
+    let mut rng14 = StdRng::seed_from_u64(19);
+    let readings_14k: Vec<(Point, f64)> = (0..14_000)
+        .map(|_| {
+            (
+                Point::new(rng14.gen_range(0.0..35_000.0), rng14.gen_range(0.0..20_000.0)),
+                rng14.gen_range(-110.0..-60.0),
+            )
+        })
+        .collect();
+    group.bench_function("label_14k", |b| {
+        let labeler = Labeler::new();
+        b.iter(|| labeler.label(black_box(&readings_14k)));
     });
 
     // Model construction on a 600-reading channel.

@@ -292,14 +292,19 @@ impl ModelConstructor {
         order.dedup();
         assert!(order.iter().all(|&c| c < k), "changed locality out of range");
 
-        // Route every row through the *fixed* centroids, then retrain only
-        // the changed localities (in parallel, like the full fit).
-        let memberships: Vec<Vec<usize>> = order
-            .iter()
-            .map(|&c| {
-                (0..ml.len()).filter(|&i| base.clustering.assign(&ml.rows()[i][..2]) == c).collect()
-            })
-            .collect();
+        // Route every row through the *fixed* centroids once, bucketing the
+        // changed localities' rows in ascending order, then retrain only
+        // those localities (in parallel, like the full fit).
+        let mut bucket_of: Vec<Option<usize>> = vec![None; k];
+        for (b, &c) in order.iter().enumerate() {
+            bucket_of[c] = Some(b);
+        }
+        let mut memberships: Vec<Vec<usize>> = vec![Vec::new(); order.len()];
+        for (i, row) in ml.rows().iter().enumerate() {
+            if let Some(&Some(b)) = bucket_of.get(base.clustering.assign(&row[..2])) {
+                memberships[b].push(i);
+            }
+        }
         let retrained = waldo_par::par_map(&memberships, |indices| self.fit_cluster(ml, indices));
         let mut clusters = base.clusters.clone();
         for (&c, cluster) in order.iter().zip(retrained) {

@@ -6,6 +6,10 @@
 //! The rule is deliberately biased toward incumbent protection: one hot
 //! reading poisons its whole 6 km neighbourhood, while an erroneously cold
 //! reading is rescued by its non-noisy neighbours (§2.1).
+//!
+//! The central server relabels every stored reading on each refit, so
+//! [`Labeler::label`] evaluates the rule as one short-circuiting query per
+//! reading against an index of the hot readings (DESIGN.md §15.3).
 
 use waldo_geo::{GridIndex, Point};
 use waldo_rf::{DECODABLE_DBM, PROTECTION_RADIUS_M};
@@ -79,25 +83,30 @@ impl Labeler {
     }
 
     /// Labels `(location, rss_dbm)` readings per Algorithm 1.
+    ///
+    /// A reading is not safe exactly when some hot reading lies within
+    /// the radius (inclusive), so only the hot readings are indexed and
+    /// each reading asks for the first hot neighbour. Squared distances
+    /// and the grid's cell span are symmetric to the bit, so this gives
+    /// the same labels as marking every hot reading's disk.
     pub fn label(&self, readings: &[(Point, f64)]) -> Vec<Safety> {
         let _t = waldo_obs::timed("label");
-        let mut not_safe = vec![false; readings.len()];
-        // Index every reading once; then each hot reading marks its
-        // neighbourhood. Bucket size = radius keeps the scan at ≤ 9 cells;
-        // the 1 m clamp stops a degenerate sub-metre radius from exploding
-        // the bucket count (pinned by `tiny_radius_clamps_bucket_size`).
-        let mut index: GridIndex<usize> = GridIndex::new(self.radius_m.max(1.0));
-        for (i, &(p, _)) in readings.iter().enumerate() {
-            index.insert(p, i);
-        }
-        for &(p, rss) in readings.iter() {
+        // Bucket size = radius keeps each query at ≤ 9 cells; the 1 m clamp
+        // stops a degenerate sub-metre radius from exploding the bucket
+        // count (pinned by `tiny_radius_clamps_bucket_size`).
+        let mut hot: GridIndex<()> = GridIndex::new(self.radius_m.max(1.0));
+        for &(p, rss) in readings {
             if rss + self.correction_db > self.threshold_dbm {
-                for (_, &j) in index.within(p, self.radius_m) {
-                    not_safe[j] = true;
-                }
+                hot.insert(p, ());
             }
         }
-        not_safe.into_iter().map(Safety::from_not_safe).collect()
+        readings
+            .iter()
+            .map(|&(p, _)| {
+                let not_safe = !hot.is_empty() && hot.within(p, self.radius_m).next().is_some();
+                Safety::from_not_safe(not_safe)
+            })
+            .collect()
     }
 }
 

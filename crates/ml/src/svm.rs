@@ -2,16 +2,19 @@
 //!
 //! The paper's headline classifier: compact to serialize, robust to the
 //! sparse road-following datasets that overfit decision trees (§3.2). This
-//! implementation supports linear and RBF kernels, soft margins, and a full
-//! kernel cache. Training follows Platt's SMO with an **incremental error
-//! cache**: `E[i] = f(i) − y[i]` is maintained across the whole training
-//! set and refreshed in O(n) after each successful alpha step, instead of
+//! implementation supports linear and RBF kernels and soft margins.
+//! Training follows Platt's SMO with an **incremental error cache**:
+//! `E[i] = f(i) − y[i]` is maintained across the whole training set and
+//! refreshed in O(n) after each successful alpha step, instead of
 //! recomputing `f()` per candidate (O(n) each, O(n²) per pass). The second
-//! multiplier is chosen by max-|E_i − E_j| over non-bound points, with the
-//! seeded RNG as a deterministic fallback — see DESIGN.md §8.4 for why
-//! this preserves bit-level determinism. The pre-cache implementation is
-//! retained as [`SvmTrainer::fit_naive_reference`] for benchmarks and the
-//! equivalence property tests.
+//! multiplier is chosen by max-|E_i − E_j| over the ascending list of
+//! non-bound points (the active set), with the seeded RNG as a
+//! deterministic fallback. Kernel rows are built the first time a
+//! successful step needs them; rejected pairs read single entries. Both
+//! keep every pick and every kernel value bit-identical to a full scan
+//! over an eager n×n cache — see DESIGN.md §8.4. The pre-cache
+//! implementation is retained as [`SvmTrainer::fit_naive_reference`] for
+//! benchmarks and the equivalence property tests.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -66,39 +69,102 @@ impl std::fmt::Display for SvmError {
 
 impl std::error::Error for SvmError {}
 
-/// Full symmetric kernel cache (`n ≤` a few thousand in this system).
+/// Kernel matrix rows of a training set, built on first use.
 ///
-/// RBF entries are computed from precomputed per-row squared norms —
-/// `K(a, b) = exp(−γ(‖a‖² + ‖b‖² − 2a·b))` — so each entry costs one dot
-/// product instead of a full `dist_sq` walk.
-fn build_kernel_cache(kernel: Kernel, rows: &[Vec<f64>]) -> Vec<f64> {
-    let n = rows.len();
-    let mut k = vec![0.0f64; n * n];
-    match kernel {
-        Kernel::Linear => {
-            for i in 0..n {
-                for j in i..n {
-                    let v = dot(&rows[i], &rows[j]);
-                    k[i * n + j] = v;
-                    k[j * n + i] = v;
-                }
-            }
-        }
-        Kernel::Rbf { gamma } => {
-            let norms: Vec<f64> = rows.iter().map(|r| dot(r, r)).collect();
-            for i in 0..n {
-                for j in i..n {
-                    // Rounding can push ‖a−b‖² marginally negative for
-                    // near-identical rows; clamp so K ≤ 1 holds.
-                    let d = (norms[i] + norms[j] - 2.0 * dot(&rows[i], &rows[j])).max(0.0);
-                    let v = (-gamma * d).exp();
-                    k[i * n + j] = v;
-                    k[j * n + i] = v;
-                }
+/// SMO reads whole rows only on a successful step (the O(n) error-cache
+/// refresh); a rejected pair needs three entries. On the refit's 900-row
+/// fits a few hundred rows are ever needed, so rows are built lazily and
+/// the diagonal is precomputed. Every entry, however it is reached, is
+/// computed by [`entry`](Self::entry) with the lower index first, so the
+/// values are bit-identical to an eager symmetric fill.
+struct KernelRows<'a> {
+    kernel: Kernel,
+    rows: &'a [Vec<f64>],
+    /// Per-row squared norms (RBF only): `K(a, b) = exp(−γ(‖a‖² + ‖b‖² −
+    /// 2a·b))` costs one dot product instead of a full `dist_sq` walk.
+    norms: Vec<f64>,
+    diag: Vec<f64>,
+    /// Offset of each built row in `built`.
+    slot: Vec<Option<usize>>,
+    built: Vec<f64>,
+}
+
+impl<'a> KernelRows<'a> {
+    fn new(kernel: Kernel, rows: &'a [Vec<f64>]) -> Self {
+        let norms = match kernel {
+            Kernel::Rbf { .. } => rows.iter().map(|r| dot(r, r)).collect(),
+            Kernel::Linear => Vec::new(),
+        };
+        let mut k = Self {
+            kernel,
+            rows,
+            norms,
+            diag: Vec::new(),
+            slot: vec![None; rows.len()],
+            built: Vec::new(),
+        };
+        k.diag = (0..rows.len()).map(|i| k.entry(i, i)).collect();
+        k
+    }
+
+    /// `K(a, b)` computed from scratch.
+    fn entry(&self, a: usize, b: usize) -> f64 {
+        let (i, j) = (a.min(b), a.max(b));
+        match self.kernel {
+            Kernel::Linear => dot(&self.rows[i], &self.rows[j]),
+            Kernel::Rbf { gamma } => {
+                // Rounding can push ‖a−b‖² marginally negative for
+                // near-identical rows; clamp so K ≤ 1 holds.
+                let d = (self.norms[i] + self.norms[j] - 2.0 * dot(&self.rows[i], &self.rows[j]))
+                    .max(0.0);
+                (-gamma * d).exp()
             }
         }
     }
-    k
+
+    /// `K(i, j)`, read from a built row when there is one.
+    fn get(&self, i: usize, j: usize) -> f64 {
+        if i == j {
+            self.diag[i]
+        } else if let Some(at) = self.slot[i] {
+            self.built[at + j]
+        } else if let Some(at) = self.slot[j] {
+            self.built[at + i]
+        } else {
+            self.entry(i, j)
+        }
+    }
+
+    /// Row `i`, which [`build`](Self::build) must have produced.
+    fn row(&self, i: usize) -> &[f64] {
+        let at = self.slot[i].expect("kernel row is built before it is read");
+        &self.built[at..at + self.rows.len()]
+    }
+
+    fn build(&mut self, i: usize) {
+        if self.slot[i].is_some() {
+            return;
+        }
+        // Entries shared with an already built row are copied from it.
+        let at = self.built.len();
+        for t in 0..self.rows.len() {
+            let v = self.get(i, t);
+            self.built.push(v);
+        }
+        self.slot[i] = Some(at);
+    }
+}
+
+/// Inserts or removes `idx` so the ascending `active` list holds exactly
+/// the non-bound multipliers.
+fn set_active(active: &mut Vec<usize>, idx: usize, non_bound: bool) {
+    match active.binary_search(&idx) {
+        Ok(pos) if !non_bound => {
+            active.remove(pos);
+        }
+        Err(pos) if non_bound => active.insert(pos, idx),
+        _ => {}
+    }
 }
 
 /// Trainer for [`SvmModel`].
@@ -192,16 +258,16 @@ impl SvmTrainer {
     ///
     /// Returns [`SvmError`] if the dataset is empty or single-class.
     pub fn fit(&self, ds: &Dataset) -> Result<SvmModel, SvmError> {
-        self.fit_impl(ds, |_, _, _, _, _| {})
+        self.fit_impl(ds, |_, _, _, _| {})
     }
 
     /// Error-cached SMO core. `audit` fires after every successful alpha
-    /// step with `(alpha, b, e, k, y)` so tests can verify the cache
-    /// invariant `e[i] == f(i) − y[i]` at each update.
+    /// step with `(alpha, b, e, active)` so tests can verify the cache
+    /// invariant `e[i] == f(i) − y[i]` and the active set at each update.
     fn fit_impl(
         &self,
         ds: &Dataset,
-        mut audit: impl FnMut(&[f64], f64, &[f64], &[f64], &[f64]),
+        mut audit: impl FnMut(&[f64], f64, &[f64], &[usize]),
     ) -> Result<SvmModel, SvmError> {
         let _t = waldo_obs::timed("svm_fit");
         if ds.is_empty() {
@@ -213,12 +279,14 @@ impl SvmTrainer {
         let n = ds.len();
         let kernel = self.kernel.unwrap_or(Kernel::Rbf { gamma: 1.0 / ds.dim().max(1) as f64 });
         let y: Vec<f64> = ds.labels().iter().map(|&l| if l { 1.0 } else { -1.0 }).collect();
-        let k = build_kernel_cache(kernel, ds.rows());
+        let mut k = KernelRows::new(kernel, ds.rows());
 
         let mut alpha = vec![0.0f64; n];
         let mut b = 0.0f64;
         // Error cache: with all alphas zero, f(i) = 0 so E[i] = −y[i].
         let mut e: Vec<f64> = y.iter().map(|&yi| -yi).collect();
+        // Ascending indices of the non-bound multipliers (0 < α < C).
+        let mut active: Vec<usize> = Vec::new();
         let mut rng = StdRng::seed_from_u64(self.seed ^ 0x5e_ed);
 
         let mut passes = 0;
@@ -234,11 +302,11 @@ impl SvmTrainer {
                 }
                 // Second multiplier: the non-bound point maximizing
                 // |E_i − E_j| takes the largest unconstrained step. Strict
-                // `>` keeps the first index on ties, so the scan order is
-                // deterministic.
+                // `>` over the ascending active set keeps the first index
+                // on ties, so the pick is deterministic.
                 let mut best: Option<(usize, f64)> = None;
-                for (j, &a_j) in alpha.iter().enumerate() {
-                    if j == i || a_j <= 0.0 || a_j >= self.c {
+                for &j in &active {
+                    if j == i {
                         continue;
                     }
                     let gap = (e_i - e[j]).abs();
@@ -246,22 +314,24 @@ impl SvmTrainer {
                         best = Some((j, gap));
                     }
                 }
-                let mut stepped = match best {
-                    Some((j, _)) => self.try_step(i, j, &k, &y, &mut alpha, &mut b, &mut e),
-                    None => false,
-                };
-                if !stepped {
+                let mut step = best.and_then(|(j, _)| {
+                    self.try_step(i, j, &mut k, &y, &mut alpha, &mut b, &mut e).then_some(j)
+                });
+                if step.is_none() {
                     // Deterministic seeded fallback: no non-bound candidate,
                     // or the heuristic step was rejected at the boundary.
                     let mut j = rng.gen_range(0..n - 1);
                     if j >= i {
                         j += 1;
                     }
-                    stepped = self.try_step(i, j, &k, &y, &mut alpha, &mut b, &mut e);
+                    step = self.try_step(i, j, &mut k, &y, &mut alpha, &mut b, &mut e).then_some(j);
                 }
-                if stepped {
+                if let Some(j) = step {
+                    for t in [i, j] {
+                        set_active(&mut active, t, !(alpha[t] <= 0.0 || alpha[t] >= self.c));
+                    }
                     changed += 1;
-                    audit(&alpha, b, &e, &k, &y);
+                    audit(&alpha, b, &e, &active);
                 }
             }
             if changed == 0 {
@@ -276,7 +346,8 @@ impl SvmTrainer {
     }
 
     /// Attempts one SMO step on the pair `(i, j)`. On success updates
-    /// `alpha`, `b`, and the full error cache in O(n), and returns `true`;
+    /// `alpha`, `b`, and the full error cache in O(n) (building kernel
+    /// rows `i` and `j` if this is their first use), and returns `true`;
     /// on a rejected step (degenerate box, non-negative curvature, or a
     /// negligible move) leaves all state untouched and returns `false`.
     #[allow(clippy::too_many_arguments)]
@@ -284,13 +355,12 @@ impl SvmTrainer {
         &self,
         i: usize,
         j: usize,
-        k: &[f64],
+        k: &mut KernelRows<'_>,
         y: &[f64],
         alpha: &mut [f64],
         b: &mut f64,
         e: &mut [f64],
     ) -> bool {
-        let n = y.len();
         if i == j {
             return false;
         }
@@ -307,7 +377,8 @@ impl SvmTrainer {
         if hi - lo < 1e-12 {
             return false;
         }
-        let eta = 2.0 * k[i * n + j] - k[i * n + i] - k[j * n + j];
+        let (k_ij, k_ii, k_jj) = (k.get(i, j), k.diag[i], k.diag[j]);
+        let eta = 2.0 * k_ij - k_ii - k_jj;
         if eta >= 0.0 {
             return false;
         }
@@ -320,14 +391,8 @@ impl SvmTrainer {
         alpha[i] = a_i;
         alpha[j] = a_j;
 
-        let b1 = *b
-            - e_i
-            - y[i] * (a_i - a_i_old) * k[i * n + i]
-            - y[j] * (a_j - a_j_old) * k[i * n + j];
-        let b2 = *b
-            - e_j
-            - y[i] * (a_i - a_i_old) * k[i * n + j]
-            - y[j] * (a_j - a_j_old) * k[j * n + j];
+        let b1 = *b - e_i - y[i] * (a_i - a_i_old) * k_ii - y[j] * (a_j - a_j_old) * k_ij;
+        let b2 = *b - e_j - y[i] * (a_i - a_i_old) * k_ij - y[j] * (a_j - a_j_old) * k_jj;
         let b_new = if a_i > 0.0 && a_i < self.c {
             b1
         } else if a_j > 0.0 && a_j < self.c {
@@ -342,7 +407,9 @@ impl SvmTrainer {
         let d_j = y[j] * (a_j - a_j_old);
         let d_b = b_new - *b;
         *b = b_new;
-        let (row_i, row_j) = (&k[i * n..(i + 1) * n], &k[j * n..(j + 1) * n]);
+        k.build(i);
+        k.build(j);
+        let (row_i, row_j) = (k.row(i), k.row(j));
         for ((e_t, &k_it), &k_jt) in e.iter_mut().zip(row_i).zip(row_j) {
             *e_t += d_i * k_it + d_j * k_jt + d_b;
         }
@@ -764,18 +831,44 @@ mod tests {
         }
     }
 
+    /// The eager symmetric fill the on-demand rows replaced: the oracle
+    /// every lazily built row and entry must match bit for bit.
+    fn build_kernel_cache(kernel: Kernel, rows: &[Vec<f64>]) -> Vec<f64> {
+        let n = rows.len();
+        let mut k = vec![0.0f64; n * n];
+        let norms: Vec<f64> = rows.iter().map(|r| dot(r, r)).collect();
+        for i in 0..n {
+            for j in i..n {
+                let v = match kernel {
+                    Kernel::Linear => dot(&rows[i], &rows[j]),
+                    Kernel::Rbf { gamma } => {
+                        let d = (norms[i] + norms[j] - 2.0 * dot(&rows[i], &rows[j])).max(0.0);
+                        (-gamma * d).exp()
+                    }
+                };
+                k[i * n + j] = v;
+                k[j * n + i] = v;
+            }
+        }
+        k
+    }
+
     #[test]
     fn error_cache_matches_recomputed_f_after_every_update() {
         // The invariant behind the whole optimization: after every
         // successful alpha step, the incrementally maintained E equals the
-        // from-scratch f(i) − y[i] for every point.
+        // from-scratch f(i) − y[i] (over the eager kernel) for every point,
+        // and the active set is exactly the ascending non-bound indices.
         let ds = ring(120, 10);
+        let kernel = Kernel::Rbf { gamma: 0.5 };
+        let k = build_kernel_cache(kernel, ds.rows());
+        let y: Vec<f64> = ds.labels().iter().map(|&l| if l { 1.0 } else { -1.0 }).collect();
+        let n = y.len();
         let mut audits = 0usize;
         let trainer = SvmTrainer::new().seed(10);
         trainer
-            .fit_impl(&ds, |alpha, b, e, k, y| {
+            .fit_impl(&ds, |alpha, b, e, active| {
                 audits += 1;
-                let n = y.len();
                 for idx in 0..n {
                     let mut f = b;
                     for t in 0..n {
@@ -790,9 +883,57 @@ mod tests {
                         e[idx]
                     );
                 }
+                let non_bound: Vec<usize> =
+                    (0..n).filter(|&t| alpha[t] > 0.0 && alpha[t] < 10.0).collect();
+                assert_eq!(active, non_bound, "update {audits}: active set drifted");
             })
             .unwrap();
         assert!(audits > 0, "training must take successful steps");
+    }
+
+    #[test]
+    fn on_demand_rows_match_the_eager_fill_bit_for_bit() {
+        let mut rng = StdRng::seed_from_u64(64);
+        for case in 0..60 {
+            let n = rng.gen_range(2..=64usize);
+            let dim = rng.gen_range(1..=5usize);
+            let mut rows: Vec<Vec<f64>> = Vec::with_capacity(n);
+            for t in 0..n {
+                // Some duplicated rows, where RBF's clamp matters.
+                let row = if t > 0 && rng.gen::<f64>() < 0.2 {
+                    rows[rng.gen_range(0..t)].clone()
+                } else {
+                    (0..dim).map(|_| rng.gen_range(-3.0..3.0)).collect()
+                };
+                rows.push(row);
+            }
+            for kernel in [Kernel::Linear, Kernel::Rbf { gamma: rng.gen_range(0.05..2.0) }] {
+                let eager = build_kernel_cache(kernel, &rows);
+                let mut lazy = KernelRows::new(kernel, &rows);
+                for _ in 0..3 * n {
+                    let (i, j) = (rng.gen_range(0..n), rng.gen_range(0..n));
+                    if rng.gen::<bool>() {
+                        lazy.build(i);
+                        let row = lazy.row(i);
+                        for t in 0..n {
+                            assert_eq!(
+                                row[t].to_bits(),
+                                eager[i * n + t].to_bits(),
+                                "case {case} {kernel:?}: row {i} entry {t}"
+                            );
+                        }
+                    }
+                    assert_eq!(
+                        lazy.get(i, j).to_bits(),
+                        eager[i * n + j].to_bits(),
+                        "case {case} {kernel:?}: entry ({i}, {j})"
+                    );
+                }
+                for i in 0..n {
+                    assert_eq!(lazy.diag[i].to_bits(), eager[i * n + i].to_bits());
+                }
+            }
+        }
     }
 
     #[test]
@@ -826,6 +967,75 @@ mod tests {
         let model = SvmTrainer::new().kernel(Kernel::Linear).fit(&ds).unwrap();
         let expect = model.support_vector_count() * 3 + 1;
         assert_eq!(model.parameter_count(), expect);
+    }
+
+    /// A 4-feature cloud whose labels follow a disk boundary with 10% of
+    /// them flipped, so many multipliers end at the box bound `C`: the
+    /// shape of a refit's capped locality fit.
+    fn noisy_disk(n: usize, seed: u64) -> Dataset {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut rows = Vec::new();
+        let mut labels = Vec::new();
+        for _ in 0..n {
+            let row: Vec<f64> = (0..4).map(|_| rng.gen_range(-2.0..2.0)).collect();
+            let inside = row[0] * row[0] + row[1] * row[1] < 1.5;
+            labels.push(inside ^ (rng.gen::<f64>() < 0.1));
+            rows.push(row);
+        }
+        Dataset::from_rows(rows, labels).unwrap()
+    }
+
+    /// FNV-1a over the serialized descriptor's bits: kernel, support
+    /// vectors, dual coefficients and bias.
+    fn model_digest(model: &SvmModel) -> u64 {
+        let mut words: Vec<u64> = match model.kernel() {
+            Kernel::Linear => vec![0],
+            Kernel::Rbf { gamma } => vec![1, gamma.to_bits()],
+        };
+        for sv in model.support_vectors() {
+            words.extend(sv.iter().map(|v| v.to_bits()));
+        }
+        words.extend(model.coefficients().iter().map(|v| v.to_bits()));
+        words.push(model.bias().to_bits());
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in words.iter().flat_map(|w| w.to_le_bytes()) {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        h
+    }
+
+    #[test]
+    fn seeded_fits_are_pinned_bit_for_bit() {
+        // Digests taken from the eager-kernel, full-scan solver: the
+        // active set and on-demand rows must not move a single bit.
+        let fits = [
+            ("ring 150x2 rbf", SvmTrainer::new().seed(9).fit(&ring(150, 4)), 0xa33e_23dc_a188_500f),
+            (
+                "separable 200x2 linear",
+                SvmTrainer::new().kernel(Kernel::Linear).seed(5).fit(&linearly_separable(200, 5)),
+                0x8ae1_d7f5_9bc4_183d,
+            ),
+            (
+                "noisy disk 900x4 rbf",
+                SvmTrainer::new()
+                    .c(10.0)
+                    .kernel(Kernel::Rbf { gamma: 0.5 })
+                    .seed(11)
+                    .fit(&noisy_disk(900, 11)),
+                0x277c_0f2e_679b_57e6,
+            ),
+        ];
+        for (name, model, pinned) in fits {
+            let model = model.unwrap();
+            let digest = model_digest(&model);
+            assert_eq!(
+                digest,
+                pinned,
+                "{name}: digest {digest:#018x} ({} support vectors)",
+                model.support_vector_count()
+            );
+        }
     }
 
     #[test]

@@ -163,3 +163,64 @@ fn cross_validation_is_bit_identical_at_any_worker_count() {
         assert_eq!(baseline, candidate, "cross_validate diverged from serial at {workers} workers");
     }
 }
+
+/// FNV-1a digest of the refit model's locality payloads and the not-safe
+/// label count, taken from the eager-kernel SMO and the
+/// every-hot-reading-marks-its-disk labeler. A faster solver or labeler
+/// must reproduce both exactly.
+const REFIT_PAYLOAD_DIGEST: u64 = 0xb5b3_162f_1ee5_45d7;
+const REFIT_NOT_SAFE: usize = 1_681;
+
+#[test]
+fn relabel_and_refit_are_pinned_at_any_worker_count() {
+    // The store's refit pass end to end: Algorithm 1 over the campaign
+    // plus a fixed upload set, then an incremental retrain of two of the
+    // three localities. Up to ~900 rows per locality reach the SMO, the
+    // size the refit pays for.
+    use rand::Rng;
+    use waldo_repro::data::{ChannelDataset, Labeler};
+    use waldo_repro::geo::Point;
+    use waldo_repro::waldo::wire::fnv1a64;
+    let world = world();
+    let campaign = collect(&world);
+    let ds = campaign
+        .dataset(SensorKind::RtlSdr, TvChannel::EVALUATION[1])
+        .expect("evaluation channel is always collected");
+    let constructor = ModelConstructor::new(WaldoConfig::default().localities(3).seed(5));
+    let set = constructor.config().feature_set().clone();
+    let mut rng = StdRng::seed_from_u64(77);
+    let mut points: Vec<(Point, f64)> =
+        ds.measurements().iter().map(|m| (m.location, m.observation.rss_dbm)).collect();
+    let mut rows: Vec<Vec<f64>> =
+        ds.measurements().iter().map(|m| ChannelDataset::feature_row(m, &set)).collect();
+    for _ in 0..2_400 {
+        let m = &ds.measurements()[rng.gen_range(0..ds.len())];
+        let p = Point::new(
+            m.location.x + rng.gen_range(-60.0..60.0),
+            m.location.y + rng.gen_range(-60.0..60.0),
+        );
+        points.push((p, m.observation.rss_dbm));
+        let mut row = vec![p.x / 1000.0, p.y / 1000.0];
+        row.extend(m.observation.features.project(&set));
+        rows.push(row);
+    }
+    let run = || {
+        let base = constructor.fit(ds).expect("campaign data trains");
+        let labels = Labeler::new().label(&points);
+        let not_safe = labels.iter().filter(|l| l.is_not_safe()).count();
+        let labels = labels.iter().map(|l| l.is_not_safe()).collect();
+        let ml = Dataset::from_rows(rows.clone(), labels).expect("fixed-width rows");
+        let refit = constructor.refit_localities(&base, &ml, &[2, 0]).expect("refit trains");
+        let bytes: Vec<u8> = refit.locality_payloads().concat();
+        (fnv1a64(&bytes), not_safe)
+    };
+    for workers in [1, 4] {
+        let (digest, not_safe) = with_workers(workers, run);
+        assert_eq!(
+            (digest, not_safe),
+            (REFIT_PAYLOAD_DIGEST, REFIT_NOT_SAFE),
+            "relabel/refit diverged from the pinned bits at {workers} workers: \
+             digest {digest:#018x}, {not_safe} not-safe"
+        );
+    }
+}
